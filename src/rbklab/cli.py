@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +124,7 @@ def resolve_run(raw: dict) -> dict:
             atol=float(raw.get("atol", 1e-12)),
             max_steps=int(raw.get("max_steps", 1_000_000)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(str(exc)) from exc
     sampling = raw.get("sampling") or {}
     chart = raw.get("chart", "t")
@@ -230,20 +229,23 @@ def cmd_simulate(args) -> int:
     run = resolve_run(load_config(args.config))
     if args.chart:
         run["chart"] = args.chart
-    if run["verify_theorem"] and run["config"].N < 2:
-        raise ConfigError(
-            "long-time law verification is undefined for a single component: "
-            "it decays by the exact closed form c(t) = 1/(c(0)^-1 + t)"
-        )
-    traj = _simulate_trajectory(run)
-    write_trajectory_csv(traj, args.out)
     if run["verify_theorem"]:
+        if run["chart"] == "phi":
+            raise ConfigError("long-time law verification needs the t or log-t chart")
         profile = support_profile(run["config"].c0)
         if profile.n_eff < 2:
             raise ConfigError(
                 "long-time law verification is undefined for a single-component "
                 "support: it decays by the exact closed form c(t) = 1/(c(0)^-1 + t)"
             )
+        if profile.n_eff > core.MAX_LAW_DIMENSION:
+            raise ConfigError(
+                f"effective dimension {profile.n_eff} exceeds the factorial guard "
+                f"(max {core.MAX_LAW_DIMENSION})"
+            )
+    traj = _simulate_trajectory(run)
+    write_trajectory_csv(traj, args.out)
+    if run["verify_theorem"]:
         diags = asymptotics.longtime_diagnostic(traj, profile)
         report = {
             str(j): {"final_residual": d.final_residual} for j, d in diags.items()
@@ -570,11 +572,9 @@ def cmd_sweep(args) -> int:
             cell_raw[k] = v
         cells.append((f"cell{i:03d}", cell_raw))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        entries = list(
-            pool.map(lambda c: _sweep_cell(c[0], c[1], outdir), cells)
-        )
-    entries.sort(key=lambda e: e["id"])
+    # serial on purpose: stepping holds the interpreter lock, so threads
+    # only add contention
+    entries = [_sweep_cell(cell_id, cell_raw, outdir) for cell_id, cell_raw in cells]
     manifest = {"grid_keys": keys, "cells": entries}
     write_json(manifest, outdir / "manifest.json")
     if any(e["status"] != "ok" for e in entries):

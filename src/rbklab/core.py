@@ -65,7 +65,7 @@ def _as_vector(c, name: str = "c") -> np.ndarray:
     arr = np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite components")
     return arr
 
@@ -246,6 +246,11 @@ def densities(c) -> tuple[float, float, float]:
     return nu_odd + nu_even, nu_odd, nu_even
 
 
+# phi_N == 1, appended to the stored components on every phi-field call
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
 def phi_field(phi) -> np.ndarray:
     """Rate of the rescaled phi-system: phi_j' = sum_{k=1}^{N-j} phi_{j+k} phi_k
     with phi_N == 1 appended internally.
@@ -255,9 +260,9 @@ def phi_field(phi) -> np.ndarray:
     the finite-y blowup of this chart.
     """
     phi = _as_vector(phi, "phi")
-    if np.any(phi <= 0):
+    if (phi <= 0).any():
         raise ValueError("phi chart requires strictly positive components")
-    full = np.append(phi, 1.0)
+    full = np.concatenate((phi, _ONE))
     n = full.size
     corr = np.correlate(full, full, mode="full")
     return corr[n:]

@@ -14,10 +14,12 @@ pair with local error control is the right tool.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import checked_factorial, rbk_field
 
 __all__ = [
@@ -56,14 +58,14 @@ class IntegratorSettings:
     negativity_guard: float | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be finite and positive")
+        if not isinstance(self.max_steps, numbers.Integral) or self.max_steps <= 0:
+            raise ValueError("max_steps must be a positive integer")
         if self.negativity_guard is None:
             object.__setattr__(self, "negativity_guard", self.atol)
-        elif self.negativity_guard < 0:
-            raise ValueError("negativity_guard must be nonnegative")
+        elif not 0 <= self.negativity_guard < math.inf:
+            raise ValueError("negativity_guard must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -170,29 +172,52 @@ def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndar
     return np.geomspace(lo, hi, n)
 
 
+_DENSITY_AUX = ("y", "tau", "nu_int")
+
+
 def density_aux_fields():
     """Accumulators carried along density-chart runs: y = int c_N dt,
     tau = int c_1 dt, and nu_int = int nu dt."""
-    return (
-        ("y", lambda t, c: c[-1]),
-        ("tau", lambda t, c: c[0]),
-        ("nu_int", lambda t, c: c.sum()),
-    )
+    rates = (lambda t, c: c[-1], lambda t, c: c[0], lambda t, c: c.sum())
+    return tuple(zip(_DENSITY_AUX, rates))
+
+
+def _density_rate(dim: int, log_time: bool):
+    """Packed rate of the density charts: the RBK field of c = z[:dim], then
+    the rates c_N, c_1 and nu of the accumulators in _DENSITY_AUX order, all
+    times e^s in the log-time chart.  Same floating-point operations as
+    integrating autonomous(rbk_field) with density_aux_fields()."""
+    n = dim + 3
+
+    def rate(t, z):
+        c = z[:dim]
+        out = np.empty(n)
+        # looked up at call time, so a wrapper installed on the module
+        # attribute (the benchmark's traced run) sees every field call
+        out[:dim] = rbk_field(c)
+        out[dim] = c[-1]
+        out[dim + 1] = c[0]
+        out[dim + 2] = c.sum()
+        if log_time:
+            out *= math.exp(t)
+        return out
+
+    return rate
 
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) pair with PI control
 # ---------------------------------------------------------------------------
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+# (node, row of the Butcher matrix) of stages 2..6, then the 5th-order weights
+_STAGES = (
+    (1 / 5, np.array([1 / 5])),
+    (3 / 10, np.array([3 / 40, 9 / 40])),
+    (4 / 5, np.array([44 / 45, -56 / 15, 32 / 9])),
+    (8 / 9, np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729])),
+    (1.0, np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])),
 )
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
@@ -201,6 +226,8 @@ _MAX_FACTOR = 10.0
 # PI exponents for a 5th-order propagating pair (Gustafsson-style control)
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+# smallest step relative to |t|; below it the step has underflowed
+_H_FLOOR = 16 * np.finfo(float).eps
 
 
 def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
@@ -223,6 +250,26 @@ def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
     return min(100 * h0, h1, t_span)
 
 
+def _compose_rate(field_fn, aux_fields, dim: int):
+    """The rate of the whole vector z = (x, accumulators) and the accumulator
+    names.  Bare names in aux_fields mean field_fn already is that rate."""
+    if aux_fields and all(isinstance(entry, str) for entry in aux_fields):
+        return field_fn, list(aux_fields)
+    names = [name for name, _ in aux_fields]
+    aux_rates = [fn for _, fn in aux_fields]
+    n = dim + len(aux_rates)
+
+    def rate(t, z):
+        x = z[:dim]
+        out = np.empty(n)
+        out[:dim] = field_fn(t, x)
+        for i, fn in enumerate(aux_rates, dim):
+            out[i] = fn(t, x)
+        return out
+
+    return rate, names
+
+
 def integrate_adaptive(
     field_fn,
     x0,
@@ -237,6 +284,13 @@ def integrate_adaptive(
     chart: str = "t",
 ) -> Trajectory:
     """Adaptive embedded-pair integration of dx/dt = field_fn(t, x).
+
+    Each aux_fields entry (name, fn) appends an accumulator with rate
+    fn(t, x).  An entry that is a bare name instead says that field_fn
+    already returns that accumulator's rate: field_fn then takes the whole
+    vector (x, accumulators in aux_fields order) and returns its rate.  The
+    chart drivers use this form to evaluate field and accumulators in one
+    call.
 
     Local error per step is bounded by atol + rtol*|z| componentwise (RMS
     norm), with the auxiliary accumulators part of the controlled vector.
@@ -256,40 +310,37 @@ def integrate_adaptive(
     if not t_end > t0:
         raise ValueError(f"span must satisfy start < end, got {span}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+    if x0.ndim != 1 or not np.isfinite(x0).all():
         raise IntegrationError("non-finite or non-vector initial state")
     dim = x0.size
 
-    aux_names = [name for name, _ in aux_fields]
-    aux_rates = [fn for _, fn in aux_fields]
+    rate, aux_names = _compose_rate(field_fn, aux_fields, dim)
     if aux0 is None:
         aux0 = np.zeros(len(aux_names))
     z0 = np.concatenate([x0, np.asarray(aux0, dtype=float)])
 
-    def rhs(t, z):
-        x = z[:dim]
-        fx = np.asarray(field_fn(t, x), dtype=float)
-        if not aux_rates:
-            return fx
-        extra = np.array([fn(t, x) for fn in aux_rates])
-        return np.concatenate([fx, extra])
+    rtol, atol, guard = settings.rtol, settings.atol, settings.negativity_guard
 
     def scale_of(z):
-        return settings.atol + settings.rtol * np.abs(z)
+        return atol + rtol * np.abs(z)
 
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         grid = grid[(grid > t0) & (grid <= t_end)]
-        if np.any(np.diff(grid) <= 0):
+        if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
+        grid = grid.tolist()
 
-    guard = settings.negativity_guard
-    t, z = t0, z0.copy()
-    f = rhs(t, z)
-    h = _initial_step(rhs, t, z, f, t_end - t0, scale_of)
+    # k[0] always holds the rate at the current (t, z): FSAL after an
+    # accepted step, untouched by a rejected one
+    k = np.empty((7, z0.size))
+    t, z = t0, z0
+    k[0] = rate(t, z)
+    h = _initial_step(rate, t, z, k[0], t_end - t0, scale_of)
 
+    # accepted vectors are fresh arrays never written again, so no copies
     ts = [t]
-    zs = [z.copy()]
+    zs = [z]
     grid_idx = 0
     err_prev = 1.0
     n_attempts = 0
@@ -301,13 +352,13 @@ def integrate_adaptive(
                 f"max_steps={settings.max_steps} exhausted at t={t:.6g} "
                 "(settings too tight for the requested span)"
             )
-        h_min = 16 * np.finfo(float).eps * max(abs(t), 1e-30)
-        if h < h_min:
+        h_min = _H_FLOOR * max(abs(t), 1e-30)
+        if not h >= h_min:  # also catches a NaN step
             raise IntegrationError(f"step size underflow at t={t:.6g}")
 
         # clip onto the next grid point / span end so samples land exactly
         t_target = t_end
-        if grid is not None and grid_idx < grid.size:
+        if grid is not None and grid_idx < len(grid):
             t_target = min(t_target, grid[grid_idx])
         h_step = min(h, t_target - t)
         on_target = h_step >= t_target - t
@@ -315,51 +366,46 @@ def integrate_adaptive(
 
         n_attempts += 1
         try:
-            k = np.empty((7, z.size))
-            k[0] = f
-            for i, a_row in enumerate(_A[:-1]):
-                zi = z + h_step * (a_row @ k[: i + 1])
-                k[i + 1] = rhs(t + _C[i + 1] * h_step, zi)
-            z_new = z + h_step * (_A[-1] @ k[:6])
-            k[6] = rhs(t_new, z_new)
+            for i, (node, a_row) in enumerate(_STAGES, 1):
+                k[i] = rate(t + node * h_step, z + h_step * (a_row @ k[:i]))
+            z_new = z + h_step * (_B @ k[:6])
+            k[6] = rate(t_new, z_new)
             err_vec = h_step * (_E @ k)
         except (ValueError, FloatingPointError, OverflowError):
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
 
-        if not np.all(np.isfinite(z_new)):
+        if not np.isfinite(z_new).all():
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
 
-        scale = settings.atol + settings.rtol * np.maximum(np.abs(z), np.abs(z_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
+        q = err_vec / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new)))
+        err = math.sqrt(float((q * q).sum()) / q.size)
+        if not math.isfinite(err):
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
 
-        if nonneg_guard and np.any(z_new[:dim] < -guard):
+        clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
+        if clamp and (z_new[:dim] < -guard).any():
             err = max(err, 2.0)
 
         if err > 1.0:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            h = h_step * factor
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
         # accepted
-        clamped = False
-        if nonneg_guard:
-            neg = z_new[:dim] < 0.0
-            if np.any(neg):
-                z_new[:dim][neg] = 0.0
-                clamped = True
-
         t, z = t_new, z_new
-        f = rhs(t, z) if clamped else k[6]
+        if clamp:
+            x = z[:dim]
+            x[x < 0.0] = 0.0
+            k[0] = rate(t, z)
+        else:
+            k[0] = k[6]
         ts.append(t)
-        zs.append(z.copy())
+        zs.append(z)
 
         if grid is not None:
-            while grid_idx < grid.size and grid[grid_idx] <= t:
+            while grid_idx < len(grid) and grid[grid_idx] <= t:
                 grid_idx += 1
 
         if stop_when is not None and stop_when(t, z[:dim]):
@@ -406,12 +452,12 @@ def integrate_rbk(
         lo = t_end * 10.0 ** (-decades)
         grid = geometric_grid(lo, t_end, points_per_decade)
     return integrate_adaptive(
-        autonomous(rbk_field),
+        _density_rate(c0.size, log_time=False),
         c0,
         (0.0, t_end),
         settings,
         grid=grid,
-        aux_fields=density_aux_fields(),
+        aux_fields=_DENSITY_AUX,
         nonneg_guard=True,
         chart="t",
     )
@@ -437,32 +483,25 @@ def integrate_logtime(
     c0 = np.asarray(c0, dtype=float)
 
     first = integrate_adaptive(
-        autonomous(rbk_field),
+        _density_rate(c0.size, log_time=False),
         c0,
         (0.0, 1.0),
         settings,
-        aux_fields=density_aux_fields(),
+        aux_fields=_DENSITY_AUX,
         nonneg_guard=True,
         chart="t",
     )
 
-    def log_field(s, c):
-        return math.exp(s) * rbk_field(c)
-
-    aux_fields = tuple(
-        (name, (lambda fn: (lambda s, c: math.exp(s) * fn(s, c)))(fn))
-        for name, fn in density_aux_fields()
-    )
     s_end = math.log(t_end)
     s_grid = np.log(geometric_grid(1.0, t_end, points_per_decade))[1:]
     second = integrate_adaptive(
-        log_field,
+        _density_rate(c0.size, log_time=True),
         first.final_state,
         (0.0, s_end),
         settings,
         grid=s_grid,
-        aux_fields=aux_fields,
-        aux0=[first.aux_series(name)[-1] for name, _ in density_aux_fields()],
+        aux_fields=_DENSITY_AUX,
+        aux0=[first.aux_series(name)[-1] for name in _DENSITY_AUX],
         nonneg_guard=True,
         chart="t",
     )
@@ -471,7 +510,7 @@ def integrate_logtime(
     states = np.vstack([first.states, second.states[1:]])
     aux = {
         name: np.concatenate([first.aux_series(name), second.aux_series(name)[1:]])
-        for name, _ in density_aux_fields()
+        for name in _DENSITY_AUX
     }
     return Trajectory(
         chart="log-t", abscissae=abscissae, states=states, aux=aux, settings=settings
@@ -491,23 +530,32 @@ def integrate_phi_to_blowup(
     inside double range.  Every component is validated strictly increasing
     across samples.
     """
-    from .core import phi_field  # local import keeps module load light
-
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.ndim != 1 or phi0.size < 2:
         raise ValueError("phi0 must be a vector of length N-1 >= 2")
     if np.any(phi0 <= 0):
         raise ValueError("phi chart requires strictly positive initial data")
-    if cap <= phi0[0]:
-        raise ValueError(f"cap {cap} must exceed phi_1(0) = {phi0[0]}")
+    if not (math.isfinite(cap) and cap > phi0[0]):
+        raise ValueError(f"cap {cap} must be finite and exceed phi_1(0) = {phi0[0]}")
+
+    dim = phi0.size
+
+    def rate(y, z):
+        # (phi', tau') with tau' = phi_1; core.phi_field is looked up at call
+        # time, like rbk_field in _density_rate
+        phi = z[:dim]
+        out = np.empty(dim + 1)
+        out[:dim] = core.phi_field(phi)
+        out[dim] = phi[0]
+        return out
 
     try:
         traj = integrate_adaptive(
-            autonomous(phi_field),
+            rate,
             phi0,
             (0.0, np.inf),
             settings,
-            aux_fields=(("tau", lambda y, phi: phi[0]),),
+            aux_fields=("tau",),
             nonneg_guard=False,
             stop_when=lambda y, phi: phi[0] >= cap,
             chart="phi-y",

@@ -81,6 +81,31 @@ def test_simulate_numerical_failure_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "setting", [{"rtol": float("nan")}, {"atol": float("inf")}, {"max_steps": float("inf")}]
+)
+def test_simulate_non_finite_setting_exits_3_before_integrating(tmp_path, setting):
+    cfg = write_config(tmp_path, **{"N": 3, "t_end": 10.0, "max_steps": 20000, **setting})
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"N": 25, "t_end": 1.0}, "factorial guard"),
+        ({"N": 3, "chart": "phi", "cap": 1e4}, "t or log-t chart"),
+    ],
+)
+def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, verify_theorem=True, **doc)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 # ---------------------------------------------------------------------------
 # blowup
 # ---------------------------------------------------------------------------
@@ -106,6 +131,13 @@ def test_blowup_small_cap_flags_short_window(tmp_path):
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert report["flags"]["window_too_short"]
     assert report["fitted_laws"] is None
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_blowup_non_finite_cap_exits_3_before_integrating(tmp_path, cap):
+    cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=cap)
+    assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_blowup_n2_exits_3(tmp_path):

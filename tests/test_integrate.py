@@ -1,6 +1,8 @@
 """Adaptive integrator against closed forms, chart consistency, blowup runs,
 and the omega estimator on synthetic and real data."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,6 +113,17 @@ def test_span_validation():
         integrate_adaptive(autonomous(rbk_field), np.ones(3), (1.0, 1.0))
 
 
+def test_nan_step_size_fails_fast():
+    """A NaN trial step (here from a NaN rate) raises at once instead of
+    spinning through the attempt budget."""
+
+    def field(t, x):
+        return np.full(2, np.nan)
+
+    with pytest.raises(IntegrationError, match="underflow"):
+        integrate_adaptive(field, [1.0, 1.0], (0.0, 1.0), IntegratorSettings(max_steps=1000))
+
+
 # ---------------------------------------------------------------------------
 # log-time chart
 # ---------------------------------------------------------------------------
@@ -182,13 +195,97 @@ def test_blowup_uncertainty_shrinks_with_cap():
 def test_blowup_rejects_bad_initial_data():
     with pytest.raises(ValueError):
         integrate_phi_to_blowup([1.0, -1.0])
-    with pytest.raises(ValueError):
-        integrate_phi_to_blowup([1.0, 1.0], cap=0.5)
+    for cap in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_phi_to_blowup([1.0, 1.0], cap=cap)
 
 
 def test_blowup_cap_unreachable_with_tight_budget():
     with pytest.raises(IntegrationError, match="cap not reached"):
         integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=IntegratorSettings(max_steps=20))
+
+
+# ---------------------------------------------------------------------------
+# chart drivers against the generic (field_fn, aux_fields) composition
+# ---------------------------------------------------------------------------
+
+_REFERENCE_C0 = (
+    np.ones(4),
+    np.random.default_rng(31).uniform(0.1, 1.0, 5),
+    np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),  # off-lattice zeros stay bitwise 0
+)
+
+
+def _assert_same_bits(traj, abscissae, states, aux):
+    assert traj.abscissae.tobytes() == np.asarray(abscissae).tobytes()
+    assert traj.states.shape == states.shape
+    assert traj.states.tobytes() == states.tobytes()
+    assert sorted(traj.aux) == sorted(aux)
+    for name, series in aux.items():
+        assert traj.aux_series(name).tobytes() == series.tobytes()
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0)
+def test_t_driver_matches_generic_path_bitwise(c0):
+    t_end = 50.0
+    traj = integrate_rbk(c0, t_end)
+    ref = integrate_adaptive(
+        autonomous(rbk_field),
+        c0,
+        (0.0, t_end),
+        grid=geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64),
+        aux_fields=density_aux_fields(),
+    )
+    _assert_same_bits(traj, ref.abscissae, ref.states, ref.aux)
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0)
+def test_logtime_driver_matches_generic_path_bitwise(c0):
+    t_end = 1e5
+    traj = integrate_logtime(c0, t_end)
+    first = integrate_adaptive(
+        autonomous(rbk_field), c0, (0.0, 1.0), aux_fields=density_aux_fields()
+    )
+    log_aux = tuple(
+        (name, lambda s, c, fn=fn: math.exp(s) * fn(s, c))
+        for name, fn in density_aux_fields()
+    )
+    second = integrate_adaptive(
+        lambda s, c: math.exp(s) * rbk_field(c),
+        first.final_state,
+        (0.0, math.log(t_end)),
+        grid=np.log(geometric_grid(1.0, t_end, 64))[1:],
+        aux_fields=log_aux,
+        aux0=[first.aux_series(name)[-1] for name in first.aux],
+    )
+    _assert_same_bits(
+        traj,
+        np.concatenate([first.abscissae, np.exp(second.abscissae[1:])]),
+        np.vstack([first.states, second.states[1:]]),
+        {
+            name: np.concatenate([first.aux_series(name), second.aux_series(name)[1:]])
+            for name in first.aux
+        },
+    )
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0[:2])
+def test_phi_driver_matches_generic_path_bitwise(c0):
+    cap = 1e10
+    phi0 = c0[:-1] / c0[-1]
+    traj, estimate = integrate_phi_to_blowup(phi0, cap)
+    ref = integrate_adaptive(
+        autonomous(phi_field),
+        phi0,
+        (0.0, np.inf),
+        aux_fields=(("tau", lambda y, phi: phi[0]),),
+        nonneg_guard=False,
+        stop_when=lambda y, phi: phi[0] >= cap,
+        chart="phi-y",
+    )
+    _assert_same_bits(traj, ref.abscissae, ref.states, ref.aux)
+    samples = np.column_stack([ref.abscissae, ref.aux_series("tau")])[1:]
+    assert estimate == estimate_omega(samples, c0.size)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +379,12 @@ def test_settings_validation():
         IntegratorSettings(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorSettings(max_steps=0)
+    with pytest.raises(ValueError):
+        IntegratorSettings(max_steps=2.5)
+    for bad in (math.nan, math.inf):
+        for name in ("rtol", "atol", "negativity_guard"):
+            with pytest.raises(ValueError):
+                IntegratorSettings(**{name: bad})
     assert IntegratorSettings().negativity_guard == IntegratorSettings().atol
     assert IntegratorSettings(negativity_guard=1e-9).negativity_guard == 1e-9
 
