@@ -8,7 +8,6 @@ from .core import (
     ClusterState,
     ConvergenceDiagnostic,
     PhiState,
-    PsiState,
     SupportProfile,
     SystemConfig,
     blowup_laws,
@@ -27,6 +26,7 @@ from .core import (
 from .integrate import (
     BlowupEstimate,
     IntegrationError,
+    IntegrationStats,
     IntegratorSettings,
     Trajectory,
     chart_map_t_to_phi,

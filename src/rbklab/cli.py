@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -92,11 +94,23 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
     return np.random.default_rng(int(seed)).uniform(low, high, N)
 
 
+def _non_finite(text):
+    raise ConfigError(f"config holds the non-finite number {text}")
+
+
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # 1e400 parses to inf
+        _non_finite(text)
+    return value
+
+
 def load_config(path) -> dict:
-    """Parse and validate a run configuration document."""
+    """Parse and validate a run configuration document.  NaN, Infinity and
+    numbers beyond double range are rejected wherever they appear."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -106,11 +120,21 @@ def load_config(path) -> dict:
     return raw
 
 
+def _finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def resolve_run(raw: dict) -> dict:
     """Turn a raw config document into validated run inputs."""
     try:
         N = int(raw["N"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("config requires an integer N") from exc
     seed = raw.get("seed")
     try:
@@ -134,10 +158,12 @@ def resolve_run(raw: dict) -> dict:
         "config": config,
         "settings": settings,
         "chart": chart,
-        "t_end": float(raw.get("t_end", 10.0)),
-        "cap": float(raw.get("cap", 1e10)),
-        "points_per_decade": int(sampling.get("points_per_decade", 64)),
-        "decades": float(sampling.get("decades", 6.0)),
+        "t_end": _finite("t_end", raw.get("t_end", 10.0)),
+        "cap": _finite("cap", raw.get("cap", 1e10)),
+        "points_per_decade": int(
+            _finite("sampling.points_per_decade", sampling.get("points_per_decade", 64))
+        ),
+        "decades": _finite("sampling.decades", sampling.get("decades", 6.0)),
         "verify_theorem": bool(raw.get("verify_theorem", False)),
     }
 
@@ -149,6 +175,21 @@ def resolve_run(raw: dict) -> dict:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_atomic(path, write) -> None:
+    """Run write(fh) on a temporary file beside path, then rename it onto
+    path: a write that fails part-way leaves path as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -164,8 +205,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         row = [traj.abscissae[i], *traj.states[i]]
         row += [traj.aux_series(name)[i] for name in aux_names]
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def read_trajectory_csv(path):
@@ -177,10 +218,11 @@ def read_trajectory_csv(path):
 
 
 def write_json(doc: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    def dump(fh):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _write_atomic(path, dump)
 
 
 def _law_table(laws) -> dict:

@@ -26,7 +26,6 @@ __all__ = [
     "ClusterState",
     "ConvergenceDiagnostic",
     "PhiState",
-    "PsiState",
     "SupportProfile",
     "SystemConfig",
     "blowup_laws",
@@ -156,24 +155,6 @@ class PhiState:
             raise ValueError("phi components must be strictly positive")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
-
-
-@dataclass(frozen=True)
-class PsiState:
-    """Twice-rescaled state against tau(y) = int_0^y phi_1; psi_N == 1 not
-    stored.  Along exact trajectories psi_{N-1}(tau) - tau is constant."""
-
-    tau: float
-    psi: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
-        psi = _as_vector(self.psi, "psi").copy()
-        if np.any(psi <= 0):
-            raise ValueError("psi components must be strictly positive")
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ pair with local error control is the right tool.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .core import checked_factorial, rbk_field
 __all__ = [
     "BlowupEstimate",
     "IntegrationError",
+    "IntegrationStats",
     "IntegratorSettings",
     "Trajectory",
     "autonomous",
@@ -69,21 +71,63 @@ class IntegratorSettings:
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """What the integrator did on one run.
+
+    accepted counts accepted steps; rejected_error, rejected_guard and
+    rejected_nonfinite count rejected attempts by cause: the local error
+    test, a density below -negativity_guard, and a stage rate that raised or
+    a non-finite new state or error.  clamped counts accepted steps whose
+    densities were clamped to zero, rhs_evals the calls of the rate function,
+    and h_min/h_max bound the accepted step sizes in the chart's own
+    abscissa.
+    """
+
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_guard: int = 0
+    rejected_nonfinite: int = 0
+    clamped: int = 0
+    rhs_evals: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
+
+    @property
+    def rejected(self) -> int:
+        return self.rejected_error + self.rejected_guard + self.rejected_nonfinite
+
+    def merge(self, other: IntegrationStats) -> IntegrationStats:
+        """Counters of two runs taken one after the other."""
+        return IntegrationStats(
+            accepted=self.accepted + other.accepted,
+            rejected_error=self.rejected_error + other.rejected_error,
+            rejected_guard=self.rejected_guard + other.rejected_guard,
+            rejected_nonfinite=self.rejected_nonfinite + other.rejected_nonfinite,
+            clamped=self.clamped + other.clamped,
+            rhs_evals=self.rhs_evals + other.rhs_evals,
+            h_min=min(self.h_min, other.h_min),
+            h_max=max(self.h_max, other.h_max),
+        )
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Immutable ordered samples of one chart.
 
-    chart is one of {"t", "log-t", "phi-y", "psi-tau"}; abscissae are reported
-    in t for both t-charts and in y for the phi chart.  aux maps accumulator
-    names to per-sample values integrated alongside the state.
+    chart is one of {"t", "log-t", "phi-y"}; abscissae are reported in t for
+    both t-charts and in y for the phi chart.  aux maps accumulator names to
+    per-sample values integrated alongside the state.  stats holds the
+    integrator's counters when the trajectory came out of a run.
     """
 
-    CHARTS = ("t", "log-t", "phi-y", "psi-tau")
+    CHARTS = ("t", "log-t", "phi-y")
 
     chart: str
     abscissae: np.ndarray
     states: np.ndarray
     aux: dict[str, np.ndarray] = field(default_factory=dict)
     settings: IntegratorSettings = field(default_factory=IntegratorSettings)
+    stats: IntegrationStats | None = None
 
     def __post_init__(self):
         if self.chart not in self.CHARTS:
@@ -219,6 +263,20 @@ _STAGES = (
 )
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# free 4th-order continuous extension of the pair (Hairer-Norsett-Wanner,
+# Solving ODEs I, II.6; Shampine, Math. Comp. 46, 1986):
+# z(t + theta*h) = z + h * [theta, theta^2, theta^3, theta^4] @ (_P.T @ k)
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -277,6 +335,7 @@ def integrate_adaptive(
     settings: IntegratorSettings | None = None,
     *,
     grid=None,
+    land_on_grid: bool = False,
     aux_fields=(),
     aux0=None,
     nonneg_guard: bool = True,
@@ -294,15 +353,22 @@ def integrate_adaptive(
 
     Local error per step is bounded by atol + rtol*|z| componentwise (RMS
     norm), with the auxiliary accumulators part of the controlled vector.
-    Samples are recorded at every accepted step; caller-supplied grid points
-    are hit exactly (the step is clipped onto them) and recorded too.  State
+    Steps are clipped only onto the span end, so the step sequence does not
+    depend on the grid.  Without a grid every accepted step is a sample.  With one, the
+    samples are the start, every grid point in (start, end] and the last
+    point (the span end, or the step that met stop_when); grid points inside
+    a step are filled from the pair's 4th-order continuous extension.
+    land_on_grid instead clips a step onto every grid point and records every
+    accepted step, as a plain step sequence without a grid does.  State
     components that are exactly zero with a structurally zero rate stay
-    exactly zero, bitwise.
+    exactly zero, bitwise, at steps and interpolated samples alike.
 
     nonneg_guard enforces the density invariant: a component below
-    -negativity_guard rejects the step, and accepted values in (-guard, 0)
-    are clamped to exact zero.  stop_when(t, x), checked after each accepted
-    step, ends the run early (used for blowup caps).
+    -negativity_guard rejects the step, and accepted or interpolated values
+    below 0 are clamped to exact zero (undershoot beyond the guard cannot be
+    accepted).  stop_when(t, x), checked after each accepted step, ends the
+    run early (used for blowup caps).  The returned trajectory carries the
+    run's IntegrationStats.
     """
     if settings is None:
         settings = IntegratorSettings()
@@ -324,12 +390,18 @@ def integrate_adaptive(
     def scale_of(z):
         return atol + rtol * np.abs(z)
 
+    # grid points still ahead, as an array (interpolation) and a list
+    # (cheap float comparisons); next_grid is the first of them
+    grid_arr, grid_list, next_grid = None, [], math.inf
     if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        grid = grid[(grid > t0) & (grid <= t_end)]
-        if (np.diff(grid) <= 0).any():
+        grid_arr = np.asarray(grid, dtype=float)
+        grid_arr = grid_arr[(grid_arr > t0) & (grid_arr <= t_end)]
+        if (np.diff(grid_arr) <= 0).any():
             raise ValueError("grid must be strictly increasing")
-        grid = grid.tolist()
+        grid_list = grid_arr.tolist()
+        if grid_list:
+            next_grid = grid_list[0]
+    sample_steps = grid is None or land_on_grid
 
     # k[0] always holds the rate at the current (t, z): FSAL after an
     # accepted step, untouched by a rejected one
@@ -337,13 +409,16 @@ def integrate_adaptive(
     t, z = t0, z0
     k[0] = rate(t, z)
     h = _initial_step(rate, t, z, k[0], t_end - t0, scale_of)
+    n_evals = 2  # k[0] and the probe of _initial_step
 
     # accepted vectors are fresh arrays never written again, so no copies
     ts = [t]
     zs = [z]
     grid_idx = 0
     err_prev = 1.0
-    n_attempts = 0
+    n_attempts = n_accepted = n_clamped = 0
+    n_rej_error = n_rej_guard = n_rej_nonfinite = 0
+    h_lo, h_hi = math.inf, 0.0
     stopped = False
 
     while t < t_end:
@@ -356,60 +431,92 @@ def integrate_adaptive(
         if not h >= h_min:  # also catches a NaN step
             raise IntegrationError(f"step size underflow at t={t:.6g}")
 
-        # clip onto the next grid point / span end so samples land exactly
-        t_target = t_end
-        if grid is not None and grid_idx < len(grid):
-            t_target = min(t_target, grid[grid_idx])
+        # clip onto the span end (and, when landing, the next grid point)
+        t_target = min(t_end, next_grid) if land_on_grid else t_end
         h_step = min(h, t_target - t)
         on_target = h_step >= t_target - t
         t_new = t_target if on_target else t + h_step
 
         n_attempts += 1
+        stage = 0
         try:
-            for i, (node, a_row) in enumerate(_STAGES, 1):
-                k[i] = rate(t + node * h_step, z + h_step * (a_row @ k[:i]))
+            for stage, (node, a_row) in enumerate(_STAGES, 1):
+                k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
             z_new = z + h_step * (_B @ k[:6])
+            stage = 6
             k[6] = rate(t_new, z_new)
             err_vec = h_step * (_E @ k)
         except (ValueError, FloatingPointError, OverflowError):
+            n_evals += stage
+            n_rej_nonfinite += 1
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
+        n_evals += 6
 
         if not np.isfinite(z_new).all():
+            n_rej_nonfinite += 1
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
 
         q = err_vec / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new)))
         err = math.sqrt(float((q * q).sum()) / q.size)
         if not math.isfinite(err):
+            n_rej_nonfinite += 1
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
 
         clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
-        if clamp and (z_new[:dim] < -guard).any():
+        guard_hit = clamp and (z_new[:dim] < -guard).any()
+        if guard_hit:
             err = max(err, 2.0)
 
         if err > 1.0:
+            if guard_hit:
+                n_rej_guard += 1
+            else:
+                n_rej_error += 1
             h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        # accepted
+        # accepted: fill the grid points inside (t, t_new) from the stage
+        # rates of this step, before k[0] moves on
+        if next_grid < t_new and not land_on_grid:
+            j = bisect.bisect_left(grid_list, t_new, grid_idx)
+            theta = (grid_arr[grid_idx:j] - t) / h_step
+            block = z + h_step * (theta[:, None] ** _POWERS @ (_P.T @ k))
+            if nonneg_guard:
+                x = block[:, :dim]
+                x[x < 0.0] = 0.0
+            ts.extend(grid_list[grid_idx:j])
+            zs.extend(block)
+            grid_idx = j
+            next_grid = grid_list[j] if j < len(grid_list) else math.inf
+
         t, z = t_new, z_new
+        n_accepted += 1
+        h_lo = min(h_lo, h_step)
+        h_hi = max(h_hi, h_step)
         if clamp:
+            n_clamped += 1
             x = z[:dim]
             x[x < 0.0] = 0.0
             k[0] = rate(t, z)
+            n_evals += 1
         else:
             k[0] = k[6]
-        ts.append(t)
-        zs.append(z)
 
-        if grid is not None:
-            while grid_idx < len(grid) and grid[grid_idx] <= t:
-                grid_idx += 1
+        on_grid = False
+        while next_grid <= t:
+            on_grid = True
+            grid_idx += 1
+            next_grid = grid_list[grid_idx] if grid_idx < len(grid_list) else math.inf
 
         if stop_when is not None and stop_when(t, z[:dim]):
             stopped = True
+        if sample_steps or on_grid or stopped or t >= t_end:
+            ts.append(t)
+            zs.append(z)
+        if stopped:
             break
 
         err = max(err, 1e-10)
@@ -419,12 +526,23 @@ def integrate_adaptive(
 
     zs_arr = np.asarray(zs)
     aux = {name: zs_arr[:, dim + i] for i, name in enumerate(aux_names)}
+    stats = IntegrationStats(
+        accepted=n_accepted,
+        rejected_error=n_rej_error,
+        rejected_guard=n_rej_guard,
+        rejected_nonfinite=n_rej_nonfinite,
+        clamped=n_clamped,
+        rhs_evals=n_evals,
+        h_min=float(h_lo),
+        h_max=float(h_hi),
+    )
     traj = Trajectory(
         chart=chart,
         abscissae=np.asarray(ts),
         states=zs_arr[:, :dim],
         aux=aux,
         settings=settings,
+        stats=stats,
     )
     if stop_when is not None and not stopped and t < t_end:
         raise IntegrationError("integration ended before the stop condition")
@@ -494,12 +612,15 @@ def integrate_logtime(
 
     s_end = math.log(t_end)
     s_grid = np.log(geometric_grid(1.0, t_end, points_per_decade))[1:]
+    # steps land on the s-grid: free s-steps grow long enough that the c_N
+    # closed-form error leaves the 100*rtol band late in the run
     second = integrate_adaptive(
         _density_rate(c0.size, log_time=True),
         first.final_state,
         (0.0, s_end),
         settings,
         grid=s_grid,
+        land_on_grid=True,
         aux_fields=_DENSITY_AUX,
         aux0=[first.aux_series(name)[-1] for name in _DENSITY_AUX],
         nonneg_guard=True,
@@ -513,7 +634,12 @@ def integrate_logtime(
         for name in _DENSITY_AUX
     }
     return Trajectory(
-        chart="log-t", abscissae=abscissae, states=states, aux=aux, settings=settings
+        chart="log-t",
+        abscissae=abscissae,
+        states=states,
+        aux=aux,
+        settings=settings,
+        stats=first.stats.merge(second.stats),
     )
 
 
@@ -640,5 +766,10 @@ def chart_map_t_to_phi(traj: Trajectory) -> Trajectory:
     if "tau" in traj.aux:
         aux["tau"] = traj.aux_series("tau")
     return Trajectory(
-        chart="phi-y", abscissae=y, states=phi, aux=aux, settings=traj.settings
+        chart="phi-y",
+        abscissae=y,
+        states=phi,
+        aux=aux,
+        settings=traj.settings,
+        stats=traj.stats,
     )

@@ -2,13 +2,27 @@
 determinism, verification suites, and sweeps."""
 
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbklab.cli import main, read_trajectory_csv
+from rbklab import cli
+from rbklab.cli import (
+    ConfigError,
+    main,
+    read_trajectory_csv,
+    resolve_run,
+    write_json,
+    write_trajectory_csv,
+)
+from rbklab.integrate import integrate_rbk
 
 
 def write_config(tmp_path, name="config.json", **doc):
@@ -91,6 +105,65 @@ def test_simulate_non_finite_setting_exits_3_before_integrating(tmp_path, settin
     assert not out.exists()
 
 
+# (path to a numeric field, base config holding it); every command reads the
+# field through load_config and resolve_run before it integrates or writes
+_NUMERIC_FIELDS = [
+    (("N",), {"N": 3}),
+    (("t_end",), {"N": 3}),
+    (("cap",), {"N": 3}),
+    (("rtol",), {"N": 3}),
+    (("atol",), {"N": 3}),
+    (("max_steps",), {"N": 3}),
+    (("seed",), {"N": 3, "c0": {"random": {}}, "seed": 1}),
+    (("sampling", "points_per_decade"), {"N": 3, "sampling": {}}),
+    (("sampling", "decades"), {"N": 3, "sampling": {}}),
+    (("c0", 1), {"N": 3, "c0": [1.0, 1.0, 1.0]}),
+    (("c0", "uniform", "value"), {"N": 3, "c0": {"uniform": {}}}),
+    (("c0", "monodisperse", "index"), {"N": 3, "c0": {"monodisperse": {}}}),
+    (("c0", "self_similar", "alpha"), {"N": 3, "c0": {"self_similar": {}}}),
+    (("c0", "random", "high"), {"N": 3, "c0": {"random": {}}, "seed": 1}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(_NUMERIC_FIELDS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    command=st.sampled_from(
+        [["simulate"], ["simulate", "--chart", "log-t"], ["simulate", "--chart", "phi"],
+         ["blowup"]]
+    ),
+)
+def test_non_finite_config_field_exits_3_and_writes_nothing(field, value, command):
+    path, base = field
+    doc = json.loads(json.dumps(base))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, **doc)
+        out = tmp / "out" / "run.csv"
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 3
+        assert list(tmp.iterdir()) == [tmp / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"t_end": math.nan},
+        {"cap": -math.inf},
+        {"sampling": {"points_per_decade": math.inf}},
+        {"sampling": {"decades": math.nan}},
+        {"t_end": 10**400},
+    ],
+)
+def test_resolve_run_rejects_non_finite_numbers(doc):
+    with pytest.raises(ConfigError):
+        resolve_run({"N": 3, **doc})
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -104,6 +177,31 @@ def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, d
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_write_failing_part_way_leaves_no_file(tmp_path):
+    out = tmp_path / "sub" / "report.json"
+    with pytest.raises(TypeError):  # "a" is written before "b" fails
+        write_json({"a": 1.0, "b": object()}, out)
+    assert list(out.parent.iterdir()) == []
+
+
+def test_write_failing_part_way_keeps_previous_file(tmp_path, monkeypatch):
+    traj = integrate_rbk(np.ones(3), 1.0, points_per_decade=4)
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(traj, out)
+    before = out.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        write_trajectory_csv(integrate_rbk(np.ones(3), 2.0), out)
+    with pytest.raises(TypeError):
+        write_json({"a": 1.0, "b": object()}, out)
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from rbklab.core import phi_field, rbk_field
 from rbklab.integrate import (
     BlowupEstimate,
     IntegrationError,
+    IntegrationStats,
     IntegratorSettings,
     Trajectory,
     autonomous,
@@ -101,6 +102,121 @@ def test_negativity_guard_rejects_then_clamps():
     assert np.all(traj.states[:, 0] >= 0.0)
     assert traj.states[-1, 0] == 0.0
     assert np.all(traj.states[:, 1] == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sample grids through the continuous extension
+# ---------------------------------------------------------------------------
+
+_DENSE_C0 = np.random.default_rng(20240809).uniform(0.1, 1.0, 5)
+
+
+@pytest.mark.parametrize("points_per_decade", [0, 64, 320])
+def test_step_sequence_independent_of_grid(points_per_decade):
+    free = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=0)
+    traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=points_per_decade)
+    assert traj.final_state.tobytes() == free.final_state.tobytes()
+    assert traj.stats.accepted == free.stats.accepted
+    assert free.n_samples == free.stats.accepted + 1
+
+
+def test_grid_samples_are_start_grid_points_and_end():
+    grid = geometric_grid(100.0 * 10.0 ** -6.0, 100.0, 320)
+    traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=320)
+    assert traj.abscissae.tolist() == [0.0, *grid.tolist()]
+    assert traj.stats.accepted < grid.size
+    # a grid that stops short of the span end still ends on the span end
+    traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=16, decades=2.0)
+    assert traj.abscissae.tolist()[-1] == 100.0
+    assert np.all(np.isin(geometric_grid(1.0, 100.0, 16), traj.abscissae))
+
+
+def test_grid_samples_end_at_stop_point():
+    kwargs = dict(nonneg_guard=False, stop_when=lambda y, phi: phi[0] >= 1e6, chart="phi-y")
+    free = integrate_adaptive(autonomous(phi_field), np.ones(3), (0.0, np.inf), **kwargs)
+    grid = np.linspace(0.0, 2.0 * free.final_abscissa, 41)[1:]
+    traj = integrate_adaptive(
+        autonomous(phi_field), np.ones(3), (0.0, np.inf), grid=grid, **kwargs
+    )
+    inside = grid[grid < free.final_abscissa].tolist()
+    assert traj.abscissae.tolist() == [0.0, *inside, free.final_abscissa]
+    assert traj.final_state.tobytes() == free.final_state.tobytes()
+
+
+def test_interpolated_samples_match_landed_steps():
+    """The continuous extension agrees with steps clipped onto the same grid
+    to the integrator's own tolerance."""
+    grid = geometric_grid(1e-4, 100.0, 64)
+    kwargs = dict(grid=grid, aux_fields=density_aux_fields())
+    dense = integrate_adaptive(autonomous(rbk_field), _DENSE_C0, (0.0, 100.0), **kwargs)
+    landed = integrate_adaptive(
+        autonomous(rbk_field), _DENSE_C0, (0.0, 100.0), land_on_grid=True, **kwargs
+    )
+    assert landed.stats.accepted > dense.stats.accepted
+    idx = np.searchsorted(landed.abscissae, dense.abscissae)
+    assert np.all(landed.abscissae[idx] == dense.abscissae)
+    assert_allclose(dense.states, landed.states[idx], rtol=100 * RTOL, atol=0.0)
+    for name in dense.aux:
+        assert_allclose(
+            dense.aux_series(name), landed.aux_series(name)[idx], rtol=100 * RTOL, atol=0.0
+        )
+
+
+def test_interpolated_zeros_stay_positive_zero():
+    traj = integrate_rbk([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 100.0, points_per_decade=320)
+    off = traj.states[:, 0::2]
+    assert np.all(off == 0.0)
+    assert not np.signbit(off).any()
+    assert np.all(traj.states >= 0.0)
+
+
+def test_integration_stats_count_rejections_and_evaluations():
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        return np.array([-1.0 if x[0] > 0 else 0.0, 0.0])
+
+    settings = IntegratorSettings(negativity_guard=1e-6)
+    stats = integrate_adaptive(field, [0.5, 1.0], (0.0, 1.0), settings).stats
+    assert stats.rejected_guard > 0 and stats.clamped > 0
+    assert stats.rejected == stats.rejected_error + stats.rejected_guard
+    # k[0], the initial-step probe, six stages per attempt, one per clamp
+    assert stats.rhs_evals == len(calls)
+    assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected) + stats.clamped
+    assert 0.0 < stats.h_min <= stats.h_max <= 1.0
+
+
+def test_integration_stats_count_failed_stages():
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        if len(calls) == 5:  # third stage of the first attempt
+            raise ValueError("stage outside the domain")
+        return -x
+
+    stats = integrate_adaptive(field, [1.0], (0.0, 1.0)).stats
+    assert stats.rejected_nonfinite == 1
+    assert stats.rhs_evals == len(calls)
+
+
+def test_logtime_stats_merge_both_phases():
+    traj = integrate_logtime(np.ones(3), 1e4)
+    first = integrate_rbk(np.ones(3), 1.0, points_per_decade=0).stats
+    # every accepted step of both phases is a sample
+    assert traj.stats.accepted == traj.n_samples - 1
+    assert traj.stats.accepted > first.accepted
+    assert traj.stats.h_min <= first.h_min
+
+
+def test_integration_stats_merge():
+    a = IntegrationStats(accepted=3, rejected_error=1, rhs_evals=20, h_min=0.1, h_max=0.5)
+    b = IntegrationStats(accepted=2, rejected_guard=2, clamped=1, rhs_evals=14,
+                         h_min=0.2, h_max=0.9)
+    m = a.merge(b)
+    assert (m.accepted, m.rejected, m.clamped, m.rhs_evals) == (5, 3, 1, 34)
+    assert (m.h_min, m.h_max) == (0.1, 0.9)
 
 
 def test_max_steps_exhaustion():
@@ -255,6 +371,7 @@ def test_logtime_driver_matches_generic_path_bitwise(c0):
         first.final_state,
         (0.0, math.log(t_end)),
         grid=np.log(geometric_grid(1.0, t_end, 64))[1:],
+        land_on_grid=True,
         aux_fields=log_aux,
         aux0=[first.aux_series(name)[-1] for name in first.aux],
     )
