@@ -5,9 +5,7 @@ quantitative checks of the closed-form identities and asymptotic laws."""
 
 from .core import (
     AsymptoticLaw,
-    ClusterState,
     ConvergenceDiagnostic,
-    PhiState,
     SupportProfile,
     SystemConfig,
     blowup_laws,

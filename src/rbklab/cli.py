@@ -50,6 +50,10 @@ class ConfigError(ValueError):
     """Invalid configuration document (exit code 3)."""
 
 
+class UsageError(ValueError):
+    """Bad command-line arguments (exit code 1)."""
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -69,29 +73,29 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
     family, params = next(iter(entry.items()))
     if family not in _FAMILIES:
         raise ConfigError(f"unknown initial-condition family {family!r}")
-    params = params or {}
+    params = _object(f"c0.{family}", params)
     if family == "monodisperse":
-        value = float(params.get("value", 1.0))
-        index = int(params.get("index", N))
+        value = _finite("c0.monodisperse.value", params.get("value", 1.0))
+        index = _integer("monodisperse index", params.get("index", N))
         if not 1 <= index <= N:
             raise ConfigError(f"monodisperse index {index} outside 1..{N}")
         c0 = np.zeros(N)
         c0[index - 1] = value
         return c0
     if family == "uniform":
-        return np.full(N, float(params.get("value", 1.0)))
+        return np.full(N, _finite("c0.uniform.value", params.get("value", 1.0)))
     if family == "self_similar":
-        alpha = float(params.get("alpha", 0.5))
-        kappa = float(params.get("kappa", 1.0))
+        alpha = _finite("c0.self_similar.alpha", params.get("alpha", 0.5))
+        kappa = _finite("c0.self_similar.kappa", params.get("kappa", 1.0))
         return self_similar(alpha, kappa, 0.0, N)
     # random: seed-fixed uniform positive densities
     if seed is None:
         raise ConfigError("random initial conditions require a seed")
-    low = float(params.get("low", 0.1))
-    high = float(params.get("high", 1.0))
+    low = _finite("c0.random.low", params.get("low", 0.1))
+    high = _finite("c0.random.high", params.get("high", 1.0))
     if not 0 < low < high:
         raise ConfigError("random family requires 0 < low < high")
-    return np.random.default_rng(int(seed)).uniform(low, high, N)
+    return np.random.default_rng(_integer("seed", seed)).uniform(low, high, N)
 
 
 def _non_finite(text):
@@ -121,51 +125,87 @@ def load_config(path) -> dict:
 
 
 def _finite(name: str, value) -> float:
+    """A finite JSON number as a float; true, "1e-9" and NaN are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond double range
+        raise ConfigError(f"{name} must be finite, got {value}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value
 
 
+def _integer(name: str, value) -> int:
+    """An integral JSON number (3 or 3.0); 3.7, true, "3" and NaN are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _object(name: str, value) -> dict:
+    """A JSON object, or {} when the value is absent or null."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _settings(raw: dict) -> IntegratorSettings:
+    """Integrator settings of a config document (rtol, atol, max_steps)."""
+    try:
+        return IntegratorSettings(
+            rtol=_finite("rtol", raw.get("rtol", 1e-9)),
+            atol=_finite("atol", raw.get("atol", 1e-12)),
+            max_steps=_integer("max_steps", raw.get("max_steps", 1_000_000)),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def resolve_run(raw: dict) -> dict:
     """Turn a raw config document into validated run inputs."""
+    if "N" not in raw:
+        raise ConfigError("config requires an integer N")
+    N = _integer("N", raw["N"])
     try:
-        N = int(raw["N"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("config requires an integer N") from exc
-    seed = raw.get("seed")
-    try:
-        c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, seed)
+        c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
         config = SystemConfig(N=N, c0=c0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        settings = IntegratorSettings(
-            rtol=float(raw.get("rtol", 1e-9)),
-            atol=float(raw.get("atol", 1e-12)),
-            max_steps=int(raw.get("max_steps", 1_000_000)),
-        )
-    except (ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise ConfigError(str(exc)) from exc
-    sampling = raw.get("sampling") or {}
+    sampling = _object("sampling", raw.get("sampling"))
     chart = raw.get("chart", "t")
     if chart not in ("t", "log-t", "phi"):
         raise ConfigError(f"unknown chart {chart!r}")
+    verify_theorem = raw.get("verify_theorem", False)
+    if not isinstance(verify_theorem, bool):
+        raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
     return {
         "config": config,
-        "settings": settings,
+        "settings": _settings(raw),
         "chart": chart,
         "t_end": _finite("t_end", raw.get("t_end", 10.0)),
         "cap": _finite("cap", raw.get("cap", 1e10)),
-        "points_per_decade": int(
-            _finite("sampling.points_per_decade", sampling.get("points_per_decade", 64))
+        "points_per_decade": _integer(
+            "sampling.points_per_decade", sampling.get("points_per_decade", 64)
         ),
         "decades": _finite("sampling.decades", sampling.get("decades", 6.0)),
-        "verify_theorem": bool(raw.get("verify_theorem", False)),
+        "verify_theorem": verify_theorem,
     }
+
+
+def _phi0(run: dict) -> np.ndarray:
+    """Initial point of the phi chart, phi0 = c0[:-1] / c0[-1]."""
+    config = run["config"]
+    if config.N < 3:
+        raise ConfigError(f"the phi chart and its blowup laws need N >= 3, got N={config.N}")
+    if (config.c0 <= 0).any():
+        raise ConfigError("the phi chart needs strictly positive initial densities")
+    return config.c0[:-1] / config.c0[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +294,7 @@ def _simulate_trajectory(run: dict) -> Trajectory:
             settings,
             points_per_decade=run["points_per_decade"],
         )
-    # phi chart: rescale by c_N and integrate to the cap
-    c0 = config.c0
-    if config.N < 2:
-        raise ConfigError("phi chart needs N >= 2")
-    if c0[-1] <= 0:
-        raise ConfigError("phi chart requires c_N(0) > 0")
-    phi0 = c0[:-1] / c0[-1]
-    if np.any(phi0 <= 0):
-        raise ConfigError("phi chart requires strictly positive initial densities")
-    traj, _ = integrate_phi_to_blowup(phi0, run["cap"], settings)
+    traj, _ = integrate_phi_to_blowup(_phi0(run), run["cap"], settings)
     return traj
 
 
@@ -275,50 +306,34 @@ def cmd_simulate(args) -> int:
         if run["chart"] == "phi":
             raise ConfigError("long-time law verification needs the t or log-t chart")
         profile = support_profile(run["config"].c0)
-        if profile.n_eff < 2:
-            raise ConfigError(
-                "long-time law verification is undefined for a single-component "
-                "support: it decays by the exact closed form c(t) = 1/(c(0)^-1 + t)"
-            )
-        if profile.n_eff > core.MAX_LAW_DIMENSION:
-            raise ConfigError(
-                f"effective dimension {profile.n_eff} exceeds the factorial guard "
-                f"(max {core.MAX_LAW_DIMENSION})"
-            )
+        # refuses, before integrating, a support with no long-time law
+        longtime_laws(profile.n_eff, profile.m)
     traj = _simulate_trajectory(run)
-    write_trajectory_csv(traj, args.out)
     if run["verify_theorem"]:
+        # diagnosed before anything is written: a failing diagnostic leaves no file
         diags = asymptotics.longtime_diagnostic(traj, profile)
         report = {
             str(j): {"final_residual": d.final_residual} for j, d in diags.items()
         }
+    write_trajectory_csv(traj, args.out)
+    if run["verify_theorem"]:
         write_json(report, Path(args.out).with_suffix(".report.json"))
     return EXIT_OK
 
 
 def cmd_blowup(args) -> int:
     raw = load_config(args.config)
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         raw["cap"] = args.cap
     run = resolve_run(raw)
-    config, settings = run["config"], run["settings"]
-    if config.N < 3:
-        raise ConfigError(f"blowup laws are undefined for N={config.N}; need N >= 3")
-    if "phi0" in raw:
-        phi0 = np.asarray(raw["phi0"], dtype=float)
-        if phi0.size != config.N - 1:
-            raise ConfigError(f"phi0 must have length N-1={config.N - 1}")
-    else:
-        if config.c0[-1] <= 0 or np.any(config.c0 <= 0):
-            raise ConfigError("blowup runs need strictly positive initial densities")
-        phi0 = config.c0[:-1] / config.c0[-1]
-    traj, estimate = integrate_phi_to_blowup(phi0, run["cap"], settings)
+    N = run["config"].N
+    traj, estimate = integrate_phi_to_blowup(_phi0(run), run["cap"], run["settings"])
     write_trajectory_csv(traj, args.out)
 
     phi1 = traj.states[:, 0]
     window_too_short = bool(phi1[-1] / phi1[0] < 1e4)
     report = {
-        "N": config.N,
+        "N": N,
         "cap": run["cap"],
         "omega": estimate.omega,
         "uncertainty": estimate.uncertainty,
@@ -327,7 +342,7 @@ def cmd_blowup(args) -> int:
     }
     if window_too_short:
         report["fitted_laws"] = None
-        report["theoretical_laws"] = _law_table(blowup_laws(config.N))
+        report["theoretical_laws"] = _law_table(blowup_laws(N))
     else:
         fit_report = asymptotics.blowup_diagnostic(traj, estimate)
         report["fitted_laws"] = {
@@ -352,41 +367,22 @@ def _emit(checks) -> int:
     return EXIT_OK if ok_all else EXIT_NUMERICAL
 
 
-def _verify_identities(args) -> int:
-    raw = load_config(args.config) if args.config else {
-        "N": 5, "c0": {"random": {}}, "seed": 20240809, "t_end": 100.0,
-        "sampling": {"points_per_decade": 320},
-    }
-    run = resolve_run(raw)
-    traj = integrate_rbk(
-        run["config"].c0,
-        run["t_end"],
-        run["settings"],
-        points_per_decade=run["points_per_decade"],
-        decades=run["decades"],
-    )
-    report = harness.identity_suite(traj)
-    s = report.summary()
-    return _emit(
-        [
-            ("nu_odd closed form", s["nu_odd"]["ok"],
-             f"max rel err {s['nu_odd']['max_rel_err']:.3e} (tol {s['nu_odd']['tol']:.1e})"),
-            ("c_N integrating factor", s["c_last"]["ok"],
-             f"max rel err {s['c_last']['max_rel_err']:.3e} (tol {s['c_last']['tol']:.1e})"),
-            ("density dissipation identity", s["dissipation"]["ok"],
-             f"max rel err {s['dissipation']['max_rel_err']:.3e} (tol {s['dissipation']['tol']:.1e})"),
-        ]
-    )
+def _identity_checks(run: dict) -> list:
+    s = harness.identity_suite(_simulate_trajectory({**run, "chart": "t"})).summary()
+    return [
+        ("nu_odd closed form", s["nu_odd"]["ok"],
+         f"max rel err {s['nu_odd']['max_rel_err']:.3e} (tol {s['nu_odd']['tol']:.1e})"),
+        ("c_N integrating factor", s["c_last"]["ok"],
+         f"max rel err {s['c_last']['max_rel_err']:.3e} (tol {s['c_last']['tol']:.1e})"),
+        ("density dissipation identity", s["dissipation"]["ok"],
+         f"max rel err {s['dissipation']['max_rel_err']:.3e} (tol {s['dissipation']['tol']:.1e})"),
+    ]
 
 
-def _verify_support(args) -> int:
-    raw = load_config(args.config) if args.config else {
-        "N": 6, "c0": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], "t_end": 100.0,
-    }
-    run = resolve_run(raw)
+def _support_checks(run: dict) -> list:
     config = run["config"]
     profile = support_profile(config.c0)
-    traj = integrate_rbk(config.c0, run["t_end"], run["settings"])
+    traj = _simulate_trajectory({**run, "chart": "t"})
     lattice = set(range(profile.m, profile.p + 1, profile.m))
     off = [j - 1 for j in range(1, config.N + 1) if j not in lattice]
     off_zero = bool(np.all(traj.states[:, off] == 0.0)) if off else True
@@ -395,26 +391,17 @@ def _verify_support(args) -> int:
     rt_exact = bool(np.all(round_trip == config.c0))
     emb = embed_reduced(core.rbk_field(reduced.c0), profile.m, config.N)
     commute_err = float(np.max(np.abs(core.rbk_field(round_trip) - emb)))
-    return _emit(
-        [
-            ("off-lattice components bitwise zero", off_zero,
-             f"lattice m={profile.m}, p={profile.p}"),
-            ("reduce/embed round trip exact", rt_exact, "bitwise"),
-            ("field commutes with embedding", commute_err < 1e-14,
-             f"max abs defect {commute_err:.3e}"),
-        ]
-    )
+    return [
+        ("off-lattice components bitwise zero", off_zero,
+         f"lattice m={profile.m}, p={profile.p}"),
+        ("reduce/embed round trip exact", rt_exact, "bitwise"),
+        ("field commutes with embedding", commute_err < 1e-14,
+         f"max abs defect {commute_err:.3e}"),
+    ]
 
 
-def _verify_asymptotics(args) -> int:
-    raw = load_config(args.config) if args.config else {"N": 4, "c0": {"uniform": {}}}
-    run = resolve_run(raw)
-    config = run["config"]
-    if config.N < 3:
-        raise ConfigError(f"blowup laws are undefined for N={config.N}")
-    if np.any(config.c0 <= 0):
-        raise ConfigError("asymptotics suite needs strictly positive initial densities")
-    phi0 = config.c0[:-1] / config.c0[-1]
+def _asymptotics_checks(run: dict) -> list:
+    phi0 = _phi0(run)
     traj, estimate = integrate_phi_to_blowup(phi0, run["cap"], run["settings"])
     rep = asymptotics.blowup_diagnostic(traj, estimate)
     exp_err = max(
@@ -442,7 +429,7 @@ def _verify_asymptotics(args) -> int:
     # (fixture location honours RBK_FIXTURES)
     if np.all(phi0 == 1.0):
         try:
-            fx = harness.load_fixtures()["fixtures"][f"omega/N{config.N}_ones"]
+            fx = harness.load_fixtures()["fixtures"][f"omega/N{run['config'].N}_ones"]
         except (OSError, KeyError):
             fx = None
         if fx is not None:
@@ -451,7 +438,35 @@ def _verify_asymptotics(args) -> int:
                 ("omega matches reference fixture", rel < fx["tolerance"],
                  f"rel dev {rel:.3e} (tol {fx['tolerance']:.0e})")
             )
-    return _emit(checks)
+    return checks
+
+
+# suite name -> (checks of a resolved run, config used when --config is absent)
+_SUITES = {
+    "identities": (_identity_checks, {
+        "N": 5, "c0": {"random": {}}, "seed": 20240809, "t_end": 100.0,
+        "sampling": {"points_per_decade": 320},
+    }),
+    "support": (_support_checks, {
+        "N": 6, "c0": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], "t_end": 100.0,
+    }),
+    "asymptotics": (_asymptotics_checks, {"N": 4, "c0": {"uniform": {}}}),
+}
+
+
+def _lattice_laws(args):
+    """--N/--m/--p as (N, m, p) with the reduction and as-printed long-time
+    laws of that lattice; --m defaults to 1 and --p to N."""
+    N, m = args.N, args.m
+    p = N if args.p is None else args.p
+    if min(N, m, p) < 1:
+        raise UsageError(f"--N, --m and --p must be positive, got N={N}, m={m}, p={p}")
+    if p % m:
+        raise UsageError(f"p={p} not divisible by m={m}")
+    try:
+        return (N, m, p), longtime_laws(p // m, m), longtime_laws_ambient(N, m, p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # Final-residual threshold separating the matching prefactor convention from
@@ -460,35 +475,17 @@ def _verify_asymptotics(args) -> int:
 _VERDICT_THRESHOLD = 0.35
 
 
-def _verify_theorem_constants(args) -> int:
-    N = args.N or 6
-    m = args.m or 1
-    p = args.p or N
-    if p % m:
-        raise UsageError(f"p={p} not divisible by m={m}")
-    n_eff = p // m
-    if n_eff < 2:
-        raise ConfigError(
-            "single-component support decays by the exact closed form "
-            "c(t) = 1/(c(0)^-1 + t); no long-time law to verify"
-        )
-    try:
-        reduction = longtime_laws(n_eff, m)
-        ambient = longtime_laws_ambient(N, m, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _theorem_constants_checks(args) -> list:
+    (N, m, p), reduction, ambient = _lattice_laws(args)
     print("prefactors (reduction, n_eff = p/m):",
           [reduction[j].prefactor for j in sorted(reduction)])
     print("prefactors (as-printed, ambient N): ",
           [ambient[j].prefactor for j in sorted(ambient)])
 
-    raw = load_config(args.config) if args.config else {"t_end": 1e8}
-    t_end = float(raw.get("t_end", 1e8))
-    settings = IntegratorSettings(
-        rtol=float(raw.get("rtol", 1e-9)), atol=float(raw.get("atol", 1e-12))
-    )
-    c0 = embed_reduced(np.ones(n_eff), m, N)
-    traj = integrate_logtime(c0, t_end, settings)
+    raw = load_config(args.config) if args.config else {}
+    t_end = _finite("t_end", raw.get("t_end", 1e8))
+    c0 = embed_reduced(np.ones(p // m), m, N)
+    traj = integrate_logtime(c0, t_end, _settings(raw))
     profile = support_profile(c0)
 
     def final_decades(diags):
@@ -524,47 +521,29 @@ def _verify_theorem_constants(args) -> int:
             ("as-printed prefactors rejected", amb_rejected,
              f"max |e_j| at t_end {amb[-1]:.3f} (threshold {_VERDICT_THRESHOLD})")
         )
-    return _emit(checks)
-
-
-_SUITES = {
-    "identities": _verify_identities,
-    "support": _verify_support,
-    "asymptotics": _verify_asymptotics,
-    "theorem-constants": _verify_theorem_constants,
-}
+    return checks
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite or getattr(args, "suite_flag", None)
-    if suite not in _SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
-    return _SUITES[suite](args)
+    if args.suite == "theorem-constants":
+        return _emit(_theorem_constants_checks(args))
+    checks, default = _SUITES[args.suite]
+    return _emit(checks(resolve_run(load_config(args.config) if args.config else default)))
 
 
 def cmd_constants(args) -> int:
-    N = args.N
-    m = args.m or 1
-    p = args.p or N
-    if N is None:
-        raise UsageError("--N is required")
-    if p % m:
-        raise UsageError(f"p={p} not divisible by m={m}")
-    n_eff = p // m
-    try:
-        doc = {
-            "N": N,
-            "m": m,
-            "p": p,
-            "n_eff": n_eff,
-            "longtime": {
-                "reduction": _law_table(longtime_laws(n_eff, m)),
-                "as_printed": _law_table(longtime_laws_ambient(N, m, p)),
-            },
-            "blowup": _law_table(blowup_laws(N)) if N >= 3 else None,
-        }
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    (N, m, p), reduction, ambient = _lattice_laws(args)
+    doc = {
+        "N": N,
+        "m": m,
+        "p": p,
+        "n_eff": p // m,
+        "longtime": {
+            "reduction": _law_table(reduction),
+            "as_printed": _law_table(ambient),
+        },
+        "blowup": _law_table(blowup_laws(N)) if N >= 3 else None,
+    }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -629,10 +608,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class UsageError(ValueError):
-    """Bad command-line arguments (exit code 1)."""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbklab",
@@ -654,18 +629,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_blowup)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", nargs="?")
-    p.add_argument("--suite", dest="suite_flag")
+    p.add_argument("suite", choices=[*_SUITES, "theorem-constants"])
     p.add_argument("--config")
-    p.add_argument("--N", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
+    p.add_argument("--N", type=int, default=6, help="theorem-constants lattice")
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--p", type=int, help="defaults to N")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("constants", help="print the asymptotic-constant tables")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=int, help="defaults to N")
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("sweep", help="run a parameter grid of simulations")

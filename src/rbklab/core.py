@@ -23,9 +23,7 @@ import numpy as np
 __all__ = [
     "MAX_LAW_DIMENSION",
     "AsymptoticLaw",
-    "ClusterState",
     "ConvergenceDiagnostic",
-    "PhiState",
     "SupportProfile",
     "SystemConfig",
     "blowup_laws",
@@ -100,23 +98,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ClusterState:
-    """Time plus the density vector; the fundamental simulation state."""
-
-    t: float
-    c: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"time must be finite and nonnegative, got {self.t}")
-        c = _as_vector(self.c).copy()
-        if np.any(c < 0):
-            raise ValueError("densities must be nonnegative")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
 class SupportProfile:
     """Positive-support subscripts P, their gcd m, their sup p, and the
     effective dimension p/m of the reduced system."""
@@ -137,24 +118,6 @@ class SupportProfile:
             raise ValueError(f"p={self.p} is not the maximum of P")
         if self.n_eff * self.m != self.p:
             raise ValueError(f"n_eff={self.n_eff} inconsistent with p/m={self.p}/{self.m}")
-
-
-@dataclass(frozen=True)
-class PhiState:
-    """Rescaled state in the blowing-up chart: phi_j = c_j / c_N against
-    y(t) = int_0^t c_N.  phi_N is identically 1 and not stored."""
-
-    y: float
-    phi: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.y) or self.y < 0:
-            raise ValueError(f"y must be finite and nonnegative, got {self.y}")
-        phi = _as_vector(self.phi, "phi").copy()
-        if np.any(phi <= 0):
-            raise ValueError("phi components must be strictly positive")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
 
 
 @dataclass(frozen=True)
@@ -324,6 +287,16 @@ def embed_reduced(c_reduced, m: int, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _perm_laws(dim: int, m: int, count: int) -> dict[int, AsymptoticLaw]:
+    """c_{im} ~ (dim - 1)!/(dim - i)! / (t (log t)^(i - 1)) for i = 1..count,
+    with the prefactor an exact integer before it is rounded to float."""
+    dim, m = int(dim), int(m)
+    return {
+        i * m: AsymptoticLaw(exponent=float(i - 1), prefactor=float(math.perm(dim - 1, i - 1)))
+        for i in range(1, int(count) + 1)
+    }
+
+
 def longtime_laws(n_eff: int, m: int = 1) -> dict[int, AsymptoticLaw]:
     """Long-time laws c_j(t) ~ A~_j / (t (log t)^(j/m - 1)) on the support
     lattice, in the reduced-dimension convention.
@@ -341,15 +314,9 @@ def longtime_laws(n_eff: int, m: int = 1) -> dict[int, AsymptoticLaw]:
         )
     if int(m) != m or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    n_eff, m = int(n_eff), int(m)
     if n_eff > MAX_LAW_DIMENSION:
-        raise ValueError(f"effective dimension {n_eff} exceeds the factorial guard")
-    laws = {}
-    for i in range(1, n_eff + 1):
-        # (n_eff-1)! / (n_eff-i)! as an exact integer
-        prefactor = math.perm(n_eff - 1, i - 1)
-        laws[i * m] = AsymptoticLaw(exponent=float(i - 1), prefactor=float(prefactor))
-    return laws
+        raise ValueError(f"effective dimension {int(n_eff)} exceeds the factorial guard")
+    return _perm_laws(n_eff, m, n_eff)
 
 
 def longtime_laws_ambient(N: int, m: int = 1, p: int | None = None) -> dict[int, AsymptoticLaw]:
@@ -369,11 +336,7 @@ def longtime_laws_ambient(N: int, m: int = 1, p: int | None = None) -> dict[int,
         raise ValueError(f"p={p} exceeds N={N}")
     if N > MAX_LAW_DIMENSION:
         raise ValueError(f"dimension {N} exceeds the factorial guard")
-    laws = {}
-    for i in range(1, p // m + 1):
-        prefactor = math.perm(N - 1, i - 1)
-        laws[i * m] = AsymptoticLaw(exponent=float(i - 1), prefactor=float(prefactor))
-    return laws
+    return _perm_laws(N, m, p // m)
 
 
 def blowup_laws(N: int) -> dict[int, AsymptoticLaw]:

@@ -165,10 +165,49 @@ def test_resolve_run_rejects_non_finite_numbers(doc):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 3.7},
+        {"N": True},
+        {"N": "3"},
+        {"max_steps": 1000.5},
+        {"sampling": {"points_per_decade": 2.5}},
+        {"c0": {"random": {}}, "seed": 1.5},
+        {"c0": {"monodisperse": {"index": 2.5}}},
+        {"verify_theorem": "false"},
+        {"verify_theorem": 0},
+        {"t_end": True},
+        {"rtol": "1e-9"},
+        {"c0": {"uniform": {"value": [1.0]}}},
+        {"c0": {"random": {"low": None}}, "seed": 1},
+    ],
+)
+def test_resolve_run_rejects_values_of_the_wrong_type(doc):
+    with pytest.raises(ConfigError):
+        resolve_run({"N": 3, **doc})
+
+
+def test_resolve_run_accepts_integral_floats():
+    run = resolve_run({"N": 3.0, "max_steps": 1e3, "sampling": {"points_per_decade": 8.0}})
+    assert run["config"].N == 3 and isinstance(run["config"].N, int)
+    assert run["settings"].max_steps == 1000
+    assert run["points_per_decade"] == 8
+
+
+@pytest.mark.parametrize("doc", [{"sampling": 5}, {"c0": {"uniform": 5}}, {"sampling": [64]}])
+def test_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, N=3, **doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         ({"N": 25, "t_end": 1.0}, "factorial guard"),
         ({"N": 3, "chart": "phi", "cap": 1e4}, "t or log-t chart"),
+        ({"N": 3, "t_end": 1.0}, "need samples beyond t = 1"),
     ],
 )
 def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, doc, message):
@@ -243,6 +282,19 @@ def test_blowup_n2_exits_3(tmp_path):
     assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--chart", "phi", "--out", "x.csv"], ["blowup", "--out", "x.csv"],
+     ["verify", "asymptotics"]],
+)
+def test_phi_chart_commands_refuse_a_zero_density_alike(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, N=3, c0=[1.0, 0.0, 1.0])
+    argv = [a if a != "x.csv" else str(tmp_path / a) for a in command]
+    assert main([*argv, "--config", cfg]) == 3
+    assert "strictly positive initial densities" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -297,6 +349,19 @@ def test_constants_both_variants_n6_m2(capsys):
 def test_constants_invalid_combinations():
     assert main(["constants", "--N", "6", "--m", "2", "--p", "5"]) == 1
     assert main(["constants", "--N", "21"]) == 1
+
+
+@pytest.mark.parametrize("command", [["constants"], ["verify", "theorem-constants"]])
+@pytest.mark.parametrize(
+    "lattice",
+    [["--N", "6", "--m", "0"], ["--N", "0", "--m", "0"], ["--N", "6", "--p", "-6"],
+     ["--N", "1"]],
+)
+def test_lattice_arguments_rejected_alike(capsys, command, lattice):
+    assert main([*command, *lattice]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

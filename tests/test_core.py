@@ -11,9 +11,7 @@ from numpy.testing import assert_allclose
 
 from rbklab.core import (
     AsymptoticLaw,
-    ClusterState,
     ConvergenceDiagnostic,
-    PhiState,
     SupportProfile,
     SystemConfig,
     blowup_laws,
@@ -367,20 +365,6 @@ def test_system_config_validation():
     cfg = SystemConfig(2, [0.0, 1.0])
     with pytest.raises(ValueError):
         cfg.c0[0] = 3.0  # frozen array
-
-
-def test_cluster_state_validation():
-    ClusterState(0.0, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        ClusterState(-1.0, [1.0])
-    with pytest.raises(ValueError):
-        ClusterState(0.0, [-0.5])
-
-
-def test_phi_state_validation():
-    PhiState(0.0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        PhiState(0.0, [0.0, 1.0])
 
 
 def test_support_profile_validation():
