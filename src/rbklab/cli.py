@@ -58,7 +58,16 @@ class UsageError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("monodisperse", "uniform", "self_similar", "random")
+# the keys a run config, its sampling object and each c0 family may hold
+_RUN_KEYS = ("N", "c0", "seed", "chart", "t_end", "cap", "rtol", "atol", "max_steps",
+             "sampling", "verify_theorem")
+_SAMPLING_KEYS = ("points_per_decade", "decades")
+_FAMILIES = {
+    "monodisperse": ("value", "index"),
+    "uniform": ("value",),
+    "self_similar": ("alpha", "kappa"),
+    "random": ("low", "high"),
+}
 
 
 def _build_c0(entry, N: int, seed) -> np.ndarray:
@@ -73,7 +82,7 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
     family, params = next(iter(entry.items()))
     if family not in _FAMILIES:
         raise ConfigError(f"unknown initial-condition family {family!r}")
-    params = _object(f"c0.{family}", params)
+    params = _known(f"c0.{family}", _object(f"c0.{family}", params), _FAMILIES[family])
     if family == "monodisperse":
         value = _finite("c0.monodisperse.value", params.get("value", 1.0))
         index = _integer("monodisperse index", params.get("index", N))
@@ -155,6 +164,15 @@ def _object(name: str, value) -> dict:
     return value
 
 
+def _known(name: str, obj: dict, keys) -> dict:
+    """obj, once each of its keys is one of keys: a misspelt or retired key
+    must not silently run the default."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s) {unknown}; expected some of {list(keys)}")
+    return obj
+
+
 def _settings(raw: dict) -> IntegratorSettings:
     """Integrator settings of a config document (rtol, atol, max_steps)."""
     try:
@@ -169,6 +187,7 @@ def _settings(raw: dict) -> IntegratorSettings:
 
 def resolve_run(raw: dict) -> dict:
     """Turn a raw config document into validated run inputs."""
+    _known("config", raw, _RUN_KEYS)
     if "N" not in raw:
         raise ConfigError("config requires an integer N")
     N = _integer("N", raw["N"])
@@ -177,7 +196,12 @@ def resolve_run(raw: dict) -> dict:
         config = SystemConfig(N=N, c0=c0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sampling = _object("sampling", raw.get("sampling"))
+    sampling = _known("sampling", _object("sampling", raw.get("sampling")), _SAMPLING_KEYS)
+    points_per_decade = _integer(
+        "sampling.points_per_decade", sampling.get("points_per_decade", 64)
+    )
+    if points_per_decade < 0:  # 0 samples every accepted step
+        raise ConfigError(f"sampling.points_per_decade must be >= 0, got {points_per_decade}")
     chart = raw.get("chart", "t")
     if chart not in ("t", "log-t", "phi"):
         raise ConfigError(f"unknown chart {chart!r}")
@@ -190,9 +214,7 @@ def resolve_run(raw: dict) -> dict:
         "chart": chart,
         "t_end": _finite("t_end", raw.get("t_end", 10.0)),
         "cap": _finite("cap", raw.get("cap", 1e10)),
-        "points_per_decade": _integer(
-            "sampling.points_per_decade", sampling.get("points_per_decade", 64)
-        ),
+        "points_per_decade": points_per_decade,
         "decades": _finite("sampling.decades", sampling.get("decades", 6.0)),
         "verify_theorem": verify_theorem,
     }
@@ -429,9 +451,10 @@ def _asymptotics_checks(run: dict) -> list:
     # (fixture location honours RBK_FIXTURES)
     if np.all(phi0 == 1.0):
         try:
-            fx = harness.load_fixtures()["fixtures"][f"omega/N{run['config'].N}_ones"]
-        except (OSError, KeyError):
-            fx = None
+            fixtures = harness.load_fixtures()
+        except OSError as exc:  # a set but unreadable path must not drop the row
+            raise ConfigError(f"cannot read the fixture file: {exc}") from exc
+        fx = fixtures.get("fixtures", {}).get(f"omega/N{run['config'].N}_ones")
         if fx is not None:
             rel = abs(estimate.omega / fx["oracle"]["omega"] - 1.0)
             checks.append(
@@ -483,6 +506,7 @@ def _theorem_constants_checks(args) -> list:
           [ambient[j].prefactor for j in sorted(ambient)])
 
     raw = load_config(args.config) if args.config else {}
+    _known("config", raw, ("t_end", "rtol", "atol", "max_steps"))
     t_end = _finite("t_end", raw.get("t_end", 1e8))
     c0 = embed_reduced(np.ones(p // m), m, N)
     traj = integrate_logtime(c0, t_end, _settings(raw))
@@ -583,6 +607,7 @@ def cmd_sweep(args) -> int:
     values = [grid[k] for k in keys]
     if any(not isinstance(v, list) or not v for v in values):
         raise UsageError("every grid entry must be a non-empty list")
+    _known("sweep base/grid", {**base, **grid}, _RUN_KEYS)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

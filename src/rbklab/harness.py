@@ -59,7 +59,6 @@ def rk4_reference(
     h: float,
     span,
     *,
-    aux_fields=(),
     record_every: int = 1,
     chart: str = "t",
 ) -> Trajectory:
@@ -78,18 +77,10 @@ def rk4_reference(
     if not np.all(np.isfinite(x0)):
         raise ValueError("non-finite initial state")
 
-    aux_names = [name for name, _ in aux_fields]
-    aux_rates = [fn for _, fn in aux_fields]
-    dim = x0.size
-
     def rhs(t, z):
-        x = z[:dim]
-        fx = np.asarray(field_fn(t, x), dtype=float)
-        if not aux_rates:
-            return fx
-        return np.concatenate([fx, [fn(t, x) for fn in aux_rates]])
+        return np.asarray(field_fn(t, z), dtype=float)
 
-    z = np.concatenate([x0, np.zeros(len(aux_names))])
+    z = x0
     t = t0
     ts = [t]
     zs = [z.copy()]
@@ -108,11 +99,7 @@ def rk4_reference(
         if step % record_every == 0 or t >= t1:
             ts.append(t)
             zs.append(z.copy())
-    zs_arr = np.asarray(zs)
-    aux = {name: zs_arr[:, dim + i] for i, name in enumerate(aux_names)}
-    return Trajectory(
-        chart=chart, abscissae=np.asarray(ts), states=zs_arr[:, :dim], aux=aux
-    )
+    return Trajectory(chart=chart, abscissae=np.asarray(ts), states=np.asarray(zs))
 
 
 def richardson_extrapolate(values, order: int, ratio: float = 2.0):

@@ -1,7 +1,7 @@
 """Adaptive integration of the RBK system in its three charts.
 
 One explicit Dormand-Prince 5(4) embedded pair with PI step-size control
-drives everything: plain t-chart runs, long-time runs in s = log t, and
+drives everything: plain t-chart runs, long-time runs in s = log(1 + t), and
 finite-y blowup runs of the phi-chart.  Auxiliary accumulators (the chart
 changes y = int c_N, tau = int c_1 = int phi_1 dy, and int nu) are appended to
 the state vector and integrated under the same error control.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Trajectory",
     "autonomous",
     "chart_map_t_to_phi",
-    "density_aux_fields",
     "estimate_omega",
     "geometric_grid",
     "integrate_adaptive",
@@ -50,24 +49,19 @@ class IntegrationError(RuntimeError):
 class IntegratorSettings:
     """Error-control knobs of the embedded pair.
 
-    negativity_guard: densities dipping below -guard reject the step; values
-    in (-guard, 0) are clamped to exact zero.  Defaults to atol.
+    atol is also the negativity guard of the density charts: a density below
+    -atol rejects the step, and values in (-atol, 0) are clamped to exact zero.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    negativity_guard: float | None = None
 
     def __post_init__(self):
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be finite and positive")
         if not isinstance(self.max_steps, numbers.Integral) or self.max_steps <= 0:
             raise ValueError("max_steps must be a positive integer")
-        if self.negativity_guard is None:
-            object.__setattr__(self, "negativity_guard", self.atol)
-        elif not 0 <= self.negativity_guard < math.inf:
-            raise ValueError("negativity_guard must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class IntegrationStats:
 
     accepted counts accepted steps; rejected_error, rejected_guard and
     rejected_nonfinite count rejected attempts by cause: the local error
-    test, a density below -negativity_guard, and a stage rate that raised or
+    test, a density below -atol, and a stage rate that raised or
     a non-finite new state or error.  clamped counts accepted steps whose
     densities were clamped to zero, rhs_evals the calls of the rate function,
     and h_min/h_max bound the accepted step sizes in the chart's own
@@ -96,19 +90,6 @@ class IntegrationStats:
     def rejected(self) -> int:
         return self.rejected_error + self.rejected_guard + self.rejected_nonfinite
 
-    def merge(self, other: IntegrationStats) -> IntegrationStats:
-        """Counters of two runs taken one after the other."""
-        return IntegrationStats(
-            accepted=self.accepted + other.accepted,
-            rejected_error=self.rejected_error + other.rejected_error,
-            rejected_guard=self.rejected_guard + other.rejected_guard,
-            rejected_nonfinite=self.rejected_nonfinite + other.rejected_nonfinite,
-            clamped=self.clamped + other.clamped,
-            rhs_evals=self.rhs_evals + other.rhs_evals,
-            h_min=min(self.h_min, other.h_min),
-            h_max=max(self.h_max, other.h_max),
-        )
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -120,7 +101,8 @@ class Trajectory:
     integrator's counters when the trajectory came out of a run.
     """
 
-    CHARTS = ("t", "log-t", "phi-y")
+    # chart -> the abscissa it is integrated in; log-t runs in s = log(1 + t)
+    CHARTS = {"t": "t", "log-t": "s", "phi-y": "y"}
 
     chart: str
     abscissae: np.ndarray
@@ -131,7 +113,7 @@ class Trajectory:
 
     def __post_init__(self):
         if self.chart not in self.CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}; expected one of {self.CHARTS}")
+            raise ValueError(f"unknown chart {self.chart!r}; expected one of {tuple(self.CHARTS)}")
         x = np.asarray(self.abscissae, dtype=float)
         s = np.asarray(self.states, dtype=float)
         if x.ndim != 1 or s.ndim != 2 or s.shape[0] != x.size:
@@ -216,21 +198,16 @@ def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndar
     return np.geomspace(lo, hi, n)
 
 
+# accumulators of the density charts: y = int c_N dt, tau = int c_1 dt and
+# nu_int = int nu dt, packed after c in this order
 _DENSITY_AUX = ("y", "tau", "nu_int")
-
-
-def density_aux_fields():
-    """Accumulators carried along density-chart runs: y = int c_N dt,
-    tau = int c_1 dt, and nu_int = int nu dt."""
-    rates = (lambda t, c: c[-1], lambda t, c: c[0], lambda t, c: c.sum())
-    return tuple(zip(_DENSITY_AUX, rates))
 
 
 def _density_rate(dim: int, log_time: bool):
     """Packed rate of the density charts: the RBK field of c = z[:dim], then
-    the rates c_N, c_1 and nu of the accumulators in _DENSITY_AUX order, all
-    times e^s in the log-time chart.  Same floating-point operations as
-    integrating autonomous(rbk_field) with density_aux_fields()."""
+    the rates c_N, c_1 and nu of the accumulators in _DENSITY_AUX order.  In
+    the log-time chart, s = log(1 + t) and dt/ds = e^s, so the whole vector
+    is multiplied by e^s."""
     n = dim + 3
 
     def rate(t, z):
@@ -308,51 +285,34 @@ def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
     return min(100 * h0, h1, t_span)
 
 
-def _compose_rate(field_fn, aux_fields, dim: int):
-    """The rate of the whole vector z = (x, accumulators) and the accumulator
-    names.  Bare names in aux_fields mean field_fn already is that rate."""
-    if aux_fields and all(isinstance(entry, str) for entry in aux_fields):
-        return field_fn, list(aux_fields)
-    names = [name for name, _ in aux_fields]
-    aux_rates = [fn for _, fn in aux_fields]
-    n = dim + len(aux_rates)
-
-    def rate(t, z):
-        x = z[:dim]
-        out = np.empty(n)
-        out[:dim] = field_fn(t, x)
-        for i, fn in enumerate(aux_rates, dim):
-            out[i] = fn(t, x)
-        return out
-
-    return rate, names
+def _where(var: str, t: float, h_last) -> str:
+    """Where a run failed: the chart's own abscissa and the last accepted h."""
+    last = "no step accepted" if h_last is None else f"last accepted h={h_last:.6g}"
+    return f"{var}={t:.6g} ({last})"
 
 
 def integrate_adaptive(
-    field_fn,
-    x0,
+    rate,
+    z0,
     span,
     settings: IntegratorSettings | None = None,
     *,
     grid=None,
     land_on_grid: bool = False,
-    aux_fields=(),
-    aux0=None,
+    aux_names=(),
     nonneg_guard: bool = True,
     stop_when=None,
     chart: str = "t",
 ) -> Trajectory:
-    """Adaptive embedded-pair integration of dx/dt = field_fn(t, x).
+    """Adaptive embedded-pair integration of dz/dt = rate(t, z).
 
-    Each aux_fields entry (name, fn) appends an accumulator with rate
-    fn(t, x).  An entry that is a bare name instead says that field_fn
-    already returns that accumulator's rate: field_fn then takes the whole
-    vector (x, accumulators in aux_fields order) and returns its rate.  The
-    chart drivers use this form to evaluate field and accumulators in one
-    call.
+    z = (x, accumulators): the last len(aux_names) components of z are the
+    named accumulators, reported in Trajectory.aux, and the leading ones the
+    state x.  rate maps the whole vector, so a chart driver evaluates its
+    field and its accumulator rates in one call.
 
     Local error per step is bounded by atol + rtol*|z| componentwise (RMS
-    norm), with the auxiliary accumulators part of the controlled vector.
+    norm), with the accumulators part of the controlled vector.
     Steps are clipped only onto the span end, so the step sequence does not
     depend on the grid.  Without a grid every accepted step is a sample.  With one, the
     samples are the start, every grid point in (start, end] and the last
@@ -363,29 +323,29 @@ def integrate_adaptive(
     components that are exactly zero with a structurally zero rate stay
     exactly zero, bitwise, at steps and interpolated samples alike.
 
-    nonneg_guard enforces the density invariant: a component below
-    -negativity_guard rejects the step, and accepted or interpolated values
-    below 0 are clamped to exact zero (undershoot beyond the guard cannot be
-    accepted).  stop_when(t, x), checked after each accepted step, ends the
-    run early (used for blowup caps).  The returned trajectory carries the
-    run's IntegrationStats.
+    nonneg_guard enforces the density invariant on x: a component below
+    -atol rejects the step, and accepted or interpolated values below 0 are
+    clamped to exact zero (undershoot beyond the guard cannot be accepted).
+    stop_when(t, x), checked after each accepted step, ends the run early
+    (used for blowup caps).  chart tags the trajectory, whose abscissae stay
+    in the variable integrated over (integrate_logtime maps s back to t), and
+    a failure names that abscissa (Trajectory.CHARTS) and the last accepted h.
+    The returned trajectory carries the run's IntegrationStats.
     """
     if settings is None:
         settings = IntegratorSettings()
     t0, t_end = float(span[0]), float(span[1])
     if not t_end > t0:
         raise ValueError(f"span must satisfy start < end, got {span}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or not np.isfinite(x0).all():
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim != 1 or not np.isfinite(z0).all():
         raise IntegrationError("non-finite or non-vector initial state")
-    dim = x0.size
+    dim = z0.size - len(aux_names)
+    if dim < 1:
+        raise ValueError("z0 needs state components ahead of the accumulators")
+    var = Trajectory.CHARTS[chart]
 
-    rate, aux_names = _compose_rate(field_fn, aux_fields, dim)
-    if aux0 is None:
-        aux0 = np.zeros(len(aux_names))
-    z0 = np.concatenate([x0, np.asarray(aux0, dtype=float)])
-
-    rtol, atol, guard = settings.rtol, settings.atol, settings.negativity_guard
+    rtol, atol = settings.rtol, settings.atol
 
     def scale_of(z):
         return atol + rtol * np.abs(z)
@@ -418,18 +378,18 @@ def integrate_adaptive(
     err_prev = 1.0
     n_attempts = n_accepted = n_clamped = 0
     n_rej_error = n_rej_guard = n_rej_nonfinite = 0
-    h_lo, h_hi = math.inf, 0.0
+    h_lo, h_hi, h_last = math.inf, 0.0, None
     stopped = False
 
     while t < t_end:
         if n_attempts >= settings.max_steps:
             raise IntegrationError(
-                f"max_steps={settings.max_steps} exhausted at t={t:.6g} "
-                "(settings too tight for the requested span)"
+                f"max_steps={settings.max_steps} exhausted at {_where(var, t, h_last)}: "
+                "settings too tight for the requested span"
             )
         h_min = _H_FLOOR * max(abs(t), 1e-30)
         if not h >= h_min:  # also catches a NaN step
-            raise IntegrationError(f"step size underflow at t={t:.6g}")
+            raise IntegrationError(f"step size underflow at {_where(var, t, h_last)}")
 
         # clip onto the span end (and, when landing, the next grid point)
         t_target = min(t_end, next_grid) if land_on_grid else t_end
@@ -466,7 +426,7 @@ def integrate_adaptive(
             continue
 
         clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
-        guard_hit = clamp and (z_new[:dim] < -guard).any()
+        guard_hit = clamp and (z_new[:dim] < -atol).any()
         if guard_hit:
             err = max(err, 2.0)
 
@@ -496,6 +456,7 @@ def integrate_adaptive(
         n_accepted += 1
         h_lo = min(h_lo, h_step)
         h_hi = max(h_hi, h_step)
+        h_last = h_step
         if clamp:
             n_clamped += 1
             x = z[:dim]
@@ -571,11 +532,11 @@ def integrate_rbk(
         grid = geometric_grid(lo, t_end, points_per_decade)
     return integrate_adaptive(
         _density_rate(c0.size, log_time=False),
-        c0,
+        np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
         (0.0, t_end),
         settings,
         grid=grid,
-        aux_fields=_DENSITY_AUX,
+        aux_names=_DENSITY_AUX,
         nonneg_guard=True,
         chart="t",
     )
@@ -588,59 +549,28 @@ def integrate_logtime(
     *,
     points_per_decade: int = 64,
 ) -> Trajectory:
-    """Long-time run: t-chart on [0, 1], then s = log t with
-    dc/ds = e^s * field(c) up to s = log t_end.  Abscissae are reported in t
-    and the accumulators run continuously across the chart switch.
-
-    The switch point t = 1 avoids log(0) while keeping the early phase cheap.
+    """Long-time run in s = log(1 + t), where dc/ds = e^s * field(c), from
+    s = 0 to log(1 + t_end).  Every accepted step is a sample, and steps land
+    on the s-images of a geometric grid over [1, t_end]: free s-steps grow
+    long enough that the c_N closed-form error leaves the 100*rtol band late
+    in the run.  Abscissae are reported in t = e^s - 1.
     """
-    if settings is None:
-        settings = IntegratorSettings()
     if t_end <= 1.0:
         raise ValueError(f"log-time chart needs t_end > 1, got {t_end}")
     c0 = np.asarray(c0, dtype=float)
-
-    first = integrate_adaptive(
-        _density_rate(c0.size, log_time=False),
-        c0,
-        (0.0, 1.0),
-        settings,
-        aux_fields=_DENSITY_AUX,
-        nonneg_guard=True,
-        chart="t",
-    )
-
-    s_end = math.log(t_end)
-    s_grid = np.log(geometric_grid(1.0, t_end, points_per_decade))[1:]
-    # steps land on the s-grid: free s-steps grow long enough that the c_N
-    # closed-form error leaves the 100*rtol band late in the run
-    second = integrate_adaptive(
+    s_grid = np.log1p(geometric_grid(1.0, t_end, points_per_decade))
+    traj = integrate_adaptive(
         _density_rate(c0.size, log_time=True),
-        first.final_state,
-        (0.0, s_end),
+        np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
+        (0.0, s_grid[-1]),
         settings,
         grid=s_grid,
         land_on_grid=True,
-        aux_fields=_DENSITY_AUX,
-        aux0=[first.aux_series(name)[-1] for name in _DENSITY_AUX],
+        aux_names=_DENSITY_AUX,
         nonneg_guard=True,
-        chart="t",
-    )
-
-    abscissae = np.concatenate([first.abscissae, np.exp(second.abscissae[1:])])
-    states = np.vstack([first.states, second.states[1:]])
-    aux = {
-        name: np.concatenate([first.aux_series(name), second.aux_series(name)[1:]])
-        for name in _DENSITY_AUX
-    }
-    return Trajectory(
         chart="log-t",
-        abscissae=abscissae,
-        states=states,
-        aux=aux,
-        settings=settings,
-        stats=first.stats.merge(second.stats),
     )
+    return replace(traj, abscissae=np.expm1(traj.abscissae))
 
 
 def integrate_phi_to_blowup(
@@ -678,10 +608,10 @@ def integrate_phi_to_blowup(
     try:
         traj = integrate_adaptive(
             rate,
-            phi0,
+            np.concatenate([phi0, [0.0]]),
             (0.0, np.inf),
             settings,
-            aux_fields=("tau",),
+            aux_names=("tau",),
             nonneg_guard=False,
             stop_when=lambda y, phi: phi[0] >= cap,
             chart="phi-y",

@@ -218,6 +218,33 @@ def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, d
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["blowup"], {"N": 4, "phi0": [2, 1, 1], "cap": 1e4}),  # the retired key
+        (["simulate"], {"N": 3, "t_ned": 1e6}),
+        (["simulate"], {"N": 3, "sampling": {"point_per_decade": 8}}),
+        (["simulate"], {"N": 3, "c0": {"uniform": {"valeu": 2.0}}}),
+        (["verify", "theorem-constants", "--N", "3"], {"t_ned": 1e6}),
+    ],
+)
+def test_unknown_config_key_exits_3_before_writing(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, **doc)
+    out = [] if command[0] == "verify" else ["--out", str(tmp_path / "x.csv")]
+    assert main([*command, "--config", cfg, *out]) == 3
+    assert "unknown" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("chart", ["t", "log-t", "phi"])
+def test_negative_points_per_decade_exits_3_in_every_chart(tmp_path, capsys, chart):
+    cfg = write_config(tmp_path, N=3, t_end=10.0, cap=1e4, chart=chart,
+                       sampling={"points_per_decade": -5})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert "points_per_decade must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_write_failing_part_way_leaves_no_file(tmp_path):
     out = tmp_path / "sub" / "report.json"
     with pytest.raises(TypeError):  # "a" is written before "b" fails
@@ -318,6 +345,19 @@ def test_verify_asymptotics_passes(capsys):
     assert "blowup exponents" in capsys.readouterr().out
 
 
+def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RBK_FIXTURES", str(tmp_path / "missing.json"))
+    assert main(["verify", "asymptotics"]) == 3
+    assert "cannot read the fixture file" in capsys.readouterr().err
+    # a readable file without the matching entry still just omits the row
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"fixtures": {}}')
+    monkeypatch.setenv("RBK_FIXTURES", str(empty))
+    assert main(["verify", "asymptotics"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "reference fixture" not in out
+
+
 def test_verify_unknown_suite_exits_1():
     assert main(["verify", "nonsense"]) == 1
 
@@ -400,6 +440,21 @@ def test_sweep_cell_matches_single_run_bitwise(tmp_path):
 def test_sweep_empty_grid_exits_1(tmp_path):
     cfg = write_config(tmp_path, base={"c0": {"uniform": {}}}, grid={})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+
+
+@pytest.mark.parametrize(
+    "base, grid",
+    [
+        ({"c0": {"uniform": {}}, "t_ned": 2.0}, {"N": [3]}),
+        ({"c0": {"uniform": {}}, "t_end": 2.0}, {"N": [3], "rtl": [1e-8]}),
+    ],
+)
+def test_sweep_unknown_key_exits_3_before_running(tmp_path, capsys, base, grid):
+    cfg = write_config(tmp_path, base=base, grid=grid)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "unknown" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_sweep_partial_failure_recorded(tmp_path):

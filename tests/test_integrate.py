@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rbklab import integrate
 from rbklab.core import phi_field, rbk_field
 from rbklab.integrate import (
     BlowupEstimate,
     IntegrationError,
-    IntegrationStats,
     IntegratorSettings,
     Trajectory,
     autonomous,
     chart_map_t_to_phi,
-    density_aux_fields,
     estimate_omega,
     geometric_grid,
     integrate_adaptive,
@@ -26,6 +25,18 @@ from rbklab.integrate import (
 )
 
 RTOL = IntegratorSettings().rtol
+DENSITY_AUX = ("y", "tau", "nu_int")
+
+
+def density_rate(t, z):
+    """Packed t-chart rate of z = (c, y, tau, nu_int), written apart from the
+    drivers' own."""
+    c = z[:-3]
+    return np.concatenate([rbk_field(c), [c[-1], c[0], c.sum()]])
+
+
+def packed(c0):
+    return np.concatenate([c0, np.zeros(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +94,7 @@ def test_cn_integrating_factor_identity():
 def test_grid_points_hit_exactly():
     grid = geometric_grid(0.1, 10.0, 8)
     traj = integrate_adaptive(
-        autonomous(rbk_field), np.ones(3), (0.0, 10.0), grid=grid,
-        aux_fields=density_aux_fields(),
+        density_rate, packed(np.ones(3)), (0.0, 10.0), grid=grid, aux_names=DENSITY_AUX
     )
     sampled = set(traj.abscissae.tolist())
     assert all(g in sampled for g in grid.tolist())
@@ -97,7 +107,7 @@ def test_negativity_guard_rejects_then_clamps():
     def field(t, x):
         return np.array([-1.0 if x[0] > 0 else 0.0, 0.0])
 
-    settings = IntegratorSettings(negativity_guard=1e-6)
+    settings = IntegratorSettings(atol=1e-6)
     traj = integrate_adaptive(field, [0.5, 1.0], (0.0, 1.0), settings)
     assert np.all(traj.states[:, 0] >= 0.0)
     assert traj.states[-1, 0] == 0.0
@@ -147,10 +157,10 @@ def test_interpolated_samples_match_landed_steps():
     """The continuous extension agrees with steps clipped onto the same grid
     to the integrator's own tolerance."""
     grid = geometric_grid(1e-4, 100.0, 64)
-    kwargs = dict(grid=grid, aux_fields=density_aux_fields())
-    dense = integrate_adaptive(autonomous(rbk_field), _DENSE_C0, (0.0, 100.0), **kwargs)
+    kwargs = dict(grid=grid, aux_names=DENSITY_AUX)
+    dense = integrate_adaptive(density_rate, packed(_DENSE_C0), (0.0, 100.0), **kwargs)
     landed = integrate_adaptive(
-        autonomous(rbk_field), _DENSE_C0, (0.0, 100.0), land_on_grid=True, **kwargs
+        density_rate, packed(_DENSE_C0), (0.0, 100.0), land_on_grid=True, **kwargs
     )
     assert landed.stats.accepted > dense.stats.accepted
     idx = np.searchsorted(landed.abscissae, dense.abscissae)
@@ -177,7 +187,7 @@ def test_integration_stats_count_rejections_and_evaluations():
         calls.append(t)
         return np.array([-1.0 if x[0] > 0 else 0.0, 0.0])
 
-    settings = IntegratorSettings(negativity_guard=1e-6)
+    settings = IntegratorSettings(atol=1e-6)
     stats = integrate_adaptive(field, [0.5, 1.0], (0.0, 1.0), settings).stats
     assert stats.rejected_guard > 0 and stats.clamped > 0
     assert stats.rejected == stats.rejected_error + stats.rejected_guard
@@ -201,32 +211,23 @@ def test_integration_stats_count_failed_stages():
     assert stats.rhs_evals == len(calls)
 
 
-def test_logtime_stats_merge_both_phases():
-    traj = integrate_logtime(np.ones(3), 1e4)
-    first = integrate_rbk(np.ones(3), 1.0, points_per_decade=0).stats
-    # every accepted step of both phases is a sample
-    assert traj.stats.accepted == traj.n_samples - 1
-    assert traj.stats.accepted > first.accepted
-    assert traj.stats.h_min <= first.h_min
-
-
-def test_integration_stats_merge():
-    a = IntegrationStats(accepted=3, rejected_error=1, rhs_evals=20, h_min=0.1, h_max=0.5)
-    b = IntegrationStats(accepted=2, rejected_guard=2, clamped=1, rhs_evals=14,
-                         h_min=0.2, h_max=0.9)
-    m = a.merge(b)
-    assert (m.accepted, m.rejected, m.clamped, m.rhs_evals) == (5, 3, 1, 34)
-    assert (m.h_min, m.h_max) == (0.1, 0.9)
-
-
 def test_max_steps_exhaustion():
-    with pytest.raises(IntegrationError, match="max_steps"):
-        integrate_rbk(np.ones(3), 1e6, IntegratorSettings(max_steps=10))
+    """The message names the chart's own abscissa and the last accepted h."""
+    tight = IntegratorSettings(max_steps=10)
+    with pytest.raises(IntegrationError,
+                       match=r"max_steps=10 exhausted at t=\S+ \(last accepted h="):
+        integrate_rbk(np.ones(3), 1e6, tight)
+    with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
+        integrate_logtime(np.ones(3), 1e6, tight)
+    with pytest.raises(IntegrationError, match=r"exhausted at y=\S+ \(last accepted h="):
+        integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=tight)
 
 
 def test_span_validation():
     with pytest.raises(ValueError):
         integrate_adaptive(autonomous(rbk_field), np.ones(3), (1.0, 1.0))
+    with pytest.raises(ValueError, match="ahead of the accumulators"):
+        integrate_adaptive(density_rate, np.ones(3), (0.0, 1.0), aux_names=DENSITY_AUX)
 
 
 def test_nan_step_size_fails_fast():
@@ -236,7 +237,7 @@ def test_nan_step_size_fails_fast():
     def field(t, x):
         return np.full(2, np.nan)
 
-    with pytest.raises(IntegrationError, match="underflow"):
+    with pytest.raises(IntegrationError, match=r"underflow at t=0 \(no step accepted\)"):
         integrate_adaptive(field, [1.0, 1.0], (0.0, 1.0), IntegratorSettings(max_steps=1000))
 
 
@@ -273,6 +274,8 @@ def test_logtime_tc1_approaches_one(logtime_n3):
 def test_logtime_zero_lattice_preserved():
     traj = integrate_logtime([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 1e4)
     assert np.all(traj.states[:, 0::2] == 0.0)
+    # every accepted step is a sample
+    assert traj.stats.accepted == traj.n_samples - 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,92 +320,65 @@ def test_blowup_rejects_bad_initial_data():
 
 
 def test_blowup_cap_unreachable_with_tight_budget():
-    with pytest.raises(IntegrationError, match="cap not reached"):
+    with pytest.raises(IntegrationError, match="cap not reached.* at y="):
         integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=IntegratorSettings(max_steps=20))
 
 
 # ---------------------------------------------------------------------------
-# chart drivers against the generic (field_fn, aux_fields) composition
+# each chart driver: one integrate_adaptive run of one packed rate
 # ---------------------------------------------------------------------------
 
-_REFERENCE_C0 = (
+_STATES = (
     np.ones(4),
     np.random.default_rng(31).uniform(0.1, 1.0, 5),
-    np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),  # off-lattice zeros stay bitwise 0
+    np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),  # off-lattice zeros
+    np.array([0.0, 0.0, 2.5]),
 )
 
 
-def _assert_same_bits(traj, abscissae, states, aux):
-    assert traj.abscissae.tobytes() == np.asarray(abscissae).tobytes()
-    assert traj.states.shape == states.shape
-    assert traj.states.tobytes() == states.tobytes()
-    assert sorted(traj.aux) == sorted(aux)
-    for name, series in aux.items():
-        assert traj.aux_series(name).tobytes() == series.tobytes()
+def _only_run(monkeypatch, driver, *args):
+    """The (rate, z0, aux_names, chart) of the single integrate_adaptive call
+    the driver makes; the driver reaches it through the module attribute."""
+    calls = []
+    real = integrate.integrate_adaptive
+
+    def spy(rate, z0, span, *rest, **kwargs):
+        calls.append((rate, np.array(z0), kwargs["aux_names"], kwargs["chart"]))
+        return real(rate, z0, span, *rest, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate_adaptive", spy)
+    driver(*args)
+    assert len(calls) == 1
+    return calls[0]
 
 
-@pytest.mark.parametrize("c0", _REFERENCE_C0)
-def test_t_driver_matches_generic_path_bitwise(c0):
-    t_end = 50.0
-    traj = integrate_rbk(c0, t_end)
-    ref = integrate_adaptive(
-        autonomous(rbk_field),
-        c0,
-        (0.0, t_end),
-        grid=geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64),
-        aux_fields=density_aux_fields(),
-    )
-    _assert_same_bits(traj, ref.abscissae, ref.states, ref.aux)
-
-
-@pytest.mark.parametrize("c0", _REFERENCE_C0)
-def test_logtime_driver_matches_generic_path_bitwise(c0):
-    t_end = 1e5
-    traj = integrate_logtime(c0, t_end)
-    first = integrate_adaptive(
-        autonomous(rbk_field), c0, (0.0, 1.0), aux_fields=density_aux_fields()
-    )
-    log_aux = tuple(
-        (name, lambda s, c, fn=fn: math.exp(s) * fn(s, c))
-        for name, fn in density_aux_fields()
-    )
-    second = integrate_adaptive(
-        lambda s, c: math.exp(s) * rbk_field(c),
-        first.final_state,
-        (0.0, math.log(t_end)),
-        grid=np.log(geometric_grid(1.0, t_end, 64))[1:],
-        land_on_grid=True,
-        aux_fields=log_aux,
-        aux0=[first.aux_series(name)[-1] for name in first.aux],
-    )
-    _assert_same_bits(
-        traj,
-        np.concatenate([first.abscissae, np.exp(second.abscissae[1:])]),
-        np.vstack([first.states, second.states[1:]]),
-        {
-            name: np.concatenate([first.aux_series(name), second.aux_series(name)[1:]])
-            for name in first.aux
-        },
-    )
-
-
-@pytest.mark.parametrize("c0", _REFERENCE_C0[:2])
-def test_phi_driver_matches_generic_path_bitwise(c0):
-    cap = 1e10
-    phi0 = c0[:-1] / c0[-1]
-    traj, estimate = integrate_phi_to_blowup(phi0, cap)
-    ref = integrate_adaptive(
-        autonomous(phi_field),
-        phi0,
-        (0.0, np.inf),
-        aux_fields=(("tau", lambda y, phi: phi[0]),),
-        nonneg_guard=False,
-        stop_when=lambda y, phi: phi[0] >= cap,
-        chart="phi-y",
-    )
-    _assert_same_bits(traj, ref.abscissae, ref.states, ref.aux)
-    samples = np.column_stack([ref.abscissae, ref.aux_series("tau")])[1:]
-    assert estimate == estimate_omega(samples, c0.size)
+@pytest.mark.parametrize("chart", ["t", "log-t", "phi-y"])
+def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, chart):
+    for c0 in _STATES:
+        if chart == "phi-y":
+            if (c0 <= 0).any():
+                continue
+            phi0 = c0[:-1] / c0[-1]
+            rate, z0, names, tag = _only_run(
+                monkeypatch, integrate_phi_to_blowup, phi0, 1e6
+            )
+            assert (names, tag) == (("tau",), "phi-y")
+            assert z0.tobytes() == np.concatenate([phi0, [0.0]]).tobytes()
+            for y, phi in ((0.0, phi0), (0.3, 2.0 * phi0 + 1.0)):
+                z = np.concatenate([phi, [0.7]])
+                expected = np.concatenate([phi_field(phi), [phi[0]]])
+                assert rate(y, z).tobytes() == expected.tobytes()
+            continue
+        driver = integrate_rbk if chart == "t" else integrate_logtime
+        rate, z0, names, tag = _only_run(monkeypatch, driver, c0, 50.0)
+        assert (names, tag) == (DENSITY_AUX, chart)
+        assert z0.tobytes() == packed(c0).tobytes()
+        for x, c in ((0.0, c0), (1.5, 0.5 * c0), (12.0, c0 * 1e-4)):
+            z = np.concatenate([c, [0.1, 0.2, 0.3]])
+            expected = density_rate(x, z)
+            if chart == "log-t":
+                expected = expected * math.exp(x)
+            assert rate(x, z).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +475,9 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         IntegratorSettings(max_steps=2.5)
     for bad in (math.nan, math.inf):
-        for name in ("rtol", "atol", "negativity_guard"):
+        for name in ("rtol", "atol"):
             with pytest.raises(ValueError):
                 IntegratorSettings(**{name: bad})
-    assert IntegratorSettings().negativity_guard == IntegratorSettings().atol
-    assert IntegratorSettings(negativity_guard=1e-9).negativity_guard == 1e-9
 
 
 def test_trajectory_validation():
