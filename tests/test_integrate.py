@@ -382,6 +382,73 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
 
 
 # ---------------------------------------------------------------------------
+# chart drivers against a generic integrate_adaptive run of the packed rate
+# ---------------------------------------------------------------------------
+
+_REFERENCE_C0 = _STATES[:3]
+
+
+def _assert_same_bits(traj, ref, abscissae):
+    assert traj.abscissae.tobytes() == np.asarray(abscissae).tobytes()
+    assert traj.states.shape == ref.states.shape
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert list(traj.aux) == list(ref.aux)
+    for name in ref.aux:
+        assert traj.aux_series(name).tobytes() == ref.aux_series(name).tobytes()
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0)
+def test_t_driver_matches_generic_path_bitwise(c0):
+    t_end = 50.0
+    traj = integrate_rbk(c0, t_end)
+    ref = integrate_adaptive(
+        density_rate,
+        packed(c0),
+        (0.0, t_end),
+        grid=geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64),
+        aux_names=DENSITY_AUX,
+        chart="t",
+    )
+    _assert_same_bits(traj, ref, ref.abscissae)
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0)
+def test_logtime_driver_matches_generic_path_bitwise(c0):
+    t_end = 1e5
+    traj = integrate_logtime(c0, t_end)
+    s_grid = np.log1p(geometric_grid(1.0, t_end, 64))
+    ref = integrate_adaptive(
+        lambda s, z: density_rate(s, z) * math.exp(s),
+        packed(c0),
+        (0.0, s_grid[-1]),
+        grid=s_grid,
+        land_on_grid=True,
+        aux_names=DENSITY_AUX,
+        chart="log-t",
+    )
+    _assert_same_bits(traj, ref, np.expm1(ref.abscissae))
+
+
+@pytest.mark.parametrize("c0", _REFERENCE_C0[:2])
+def test_phi_driver_matches_generic_path_bitwise(c0):
+    cap = 1e10
+    phi0 = c0[:-1] / c0[-1]
+    traj, estimate = integrate_phi_to_blowup(phi0, cap)
+    ref = integrate_adaptive(
+        lambda y, z: np.concatenate([phi_field(z[:-1]), [z[0]]]),
+        np.concatenate([phi0, [0.0]]),
+        (0.0, np.inf),
+        aux_names=("tau",),
+        nonneg_guard=False,
+        stop_when=lambda y, phi: phi[0] >= cap,
+        chart="phi-y",
+    )
+    _assert_same_bits(traj, ref, ref.abscissae)
+    samples = np.column_stack([ref.abscissae, ref.aux_series("tau")])[1:]
+    assert estimate == estimate_omega(samples, c0.size)
+
+
+# ---------------------------------------------------------------------------
 # omega estimation
 # ---------------------------------------------------------------------------
 
