@@ -572,10 +572,9 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(cell_id: str, raw: dict, outdir: Path) -> dict:
+def _sweep_cell(cell_id: str, raw: dict, run: dict, outdir: Path) -> dict:
     entry = {"id": cell_id, "params": raw, "status": "ok"}
     try:
-        run = resolve_run(raw)
         traj = _simulate_trajectory(run)
         csv_path = outdir / cell_id / "trajectory.csv"
         write_trajectory_csv(traj, csv_path)
@@ -585,8 +584,7 @@ def _sweep_cell(cell_id: str, raw: dict, outdir: Path) -> dict:
             "n_samples": traj.n_samples,
         }
         if run["chart"] in ("t", "log-t"):
-            s = harness.identity_suite(traj).summary()
-            report["identities"] = s
+            report["identities"] = harness.identity_suite(traj).summary()
         report_path = outdir / cell_id / "report.json"
         write_json(report, report_path)
         entry["csv"] = str(csv_path.relative_to(outdir))
@@ -607,25 +605,28 @@ def cmd_sweep(args) -> int:
     values = [grid[k] for k in keys]
     if any(not isinstance(v, list) or not v for v in values):
         raise UsageError("every grid entry must be a non-empty list")
-    _known("sweep base/grid", {**base, **grid}, _RUN_KEYS)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
+    # every cell is resolved before anything is written: a bad key or value
+    # in any cell exits 3 and leaves no output directory
     cells = []
     for i, combo in enumerate(itertools.product(*values)):
+        cell_id = f"cell{i:03d}"
         cell_raw = json.loads(json.dumps(base))
         for k, v in zip(keys, combo):
             cell_raw[k] = v
-        cells.append((f"cell{i:03d}", cell_raw))
+        try:
+            cells.append((cell_id, cell_raw, resolve_run(cell_raw)))
+        except ConfigError as exc:
+            raise ConfigError(f"{cell_id}: {exc}") from exc
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # serial on purpose: stepping holds the interpreter lock, so threads
     # only add contention
-    entries = [_sweep_cell(cell_id, cell_raw, outdir) for cell_id, cell_raw in cells]
+    entries = [_sweep_cell(*cell, outdir) for cell in cells]
     manifest = {"grid_keys": keys, "cells": entries}
     write_json(manifest, outdir / "manifest.json")
-    if any(e["status"] != "ok" for e in entries):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if any(e["status"] != "ok" for e in entries) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

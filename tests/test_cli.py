@@ -22,7 +22,7 @@ from rbklab.cli import (
     write_json,
     write_trajectory_csv,
 )
-from rbklab.integrate import integrate_rbk
+from rbklab.integrate import integrate_logtime, integrate_rbk
 
 
 def write_config(tmp_path, name="config.json", **doc):
@@ -245,6 +245,17 @@ def test_negative_points_per_decade_exits_3_in_every_chart(tmp_path, capsys, cha
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+def test_logtime_zero_points_per_decade_samples_every_step(tmp_path):
+    cfg = write_config(tmp_path, N=3, t_end=1e4, chart="log-t",
+                       sampling={"points_per_decade": 0})
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, data = read_trajectory_csv(out)
+    traj = integrate_logtime(np.ones(3), 1e4)
+    assert data.shape[0] == traj.stats.accepted + 1
+    assert data[-1, 0] == traj.final_abscissa
+
+
 def test_write_failing_part_way_leaves_no_file(tmp_path):
     out = tmp_path / "sub" / "report.json"
     with pytest.raises(TypeError):  # "a" is written before "b" fails
@@ -457,11 +468,29 @@ def test_sweep_unknown_key_exits_3_before_running(tmp_path, capsys, base, grid):
     assert not outdir.exists()
 
 
+def test_sweep_nested_unknown_key_exits_3_before_running(tmp_path, capsys):
+    cfg = write_config(tmp_path, base={"sampling": {"point_per_decade": 8}},
+                       grid={"N": [3, 4]})
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "cell000: unknown sampling key(s)" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_bad_value_in_any_cell_exits_3_before_running(tmp_path, capsys):
+    cfg = write_config(tmp_path, base={"c0": [1.0, 1.0, 1.0], "t_end": 2.0},
+                       grid={"N": [3, 4]})  # N=4 mismatches the explicit c0
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "cell001: c0 has length 3" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_sweep_partial_failure_recorded(tmp_path):
     cfg = write_config(
         tmp_path,
-        base={"c0": [1.0, 1.0, 1.0], "t_end": 2.0},
-        grid={"N": [3, 4]},  # N=4 mismatches the explicit c0 -> cell fails
+        base={"N": 3, "c0": [1.0, 1.0, 1.0], "t_end": 2.0},
+        grid={"max_steps": [1000, 5]},  # 5 steps cannot reach t_end -> cell fails
     )
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 2

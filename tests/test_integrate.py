@@ -2,6 +2,7 @@
 and the omega estimator on synthetic and real data."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,22 +155,25 @@ def test_grid_samples_end_at_stop_point():
 
 
 def test_interpolated_samples_match_landed_steps():
-    """The continuous extension agrees with steps clipped onto the same grid
-    to the integrator's own tolerance."""
+    """The continuous extension agrees, to the integrator's own tolerance,
+    with runs whose span ends on the same grid points (a step is clipped
+    onto the span end)."""
     grid = geometric_grid(1e-4, 100.0, 64)
-    kwargs = dict(grid=grid, aux_names=DENSITY_AUX)
-    dense = integrate_adaptive(density_rate, packed(_DENSE_C0), (0.0, 100.0), **kwargs)
-    landed = integrate_adaptive(
-        density_rate, packed(_DENSE_C0), (0.0, 100.0), land_on_grid=True, **kwargs
+    dense = integrate_adaptive(
+        density_rate, packed(_DENSE_C0), (0.0, 100.0), grid=grid, aux_names=DENSITY_AUX
     )
-    assert landed.stats.accepted > dense.stats.accepted
-    idx = np.searchsorted(landed.abscissae, dense.abscissae)
-    assert np.all(landed.abscissae[idx] == dense.abscissae)
-    assert_allclose(dense.states, landed.states[idx], rtol=100 * RTOL, atol=0.0)
-    for name in dense.aux:
-        assert_allclose(
-            dense.aux_series(name), landed.aux_series(name)[idx], rtol=100 * RTOL, atol=0.0
+    assert dense.abscissae.tolist() == [0.0, *grid.tolist()]
+    for i in range(3, grid.size, 8):
+        landed = integrate_adaptive(
+            density_rate, packed(_DENSE_C0), (0.0, grid[i]), aux_names=DENSITY_AUX
         )
+        assert landed.final_abscissa == grid[i]
+        assert_allclose(dense.states[i + 1], landed.final_state, rtol=100 * RTOL, atol=0.0)
+        for name in dense.aux:
+            assert_allclose(
+                dense.aux_series(name)[i + 1], landed.aux_series(name)[-1],
+                rtol=100 * RTOL, atol=0.0,
+            )
 
 
 def test_interpolated_zeros_stay_positive_zero():
@@ -260,6 +264,15 @@ def test_logtime_monodisperse_to_1e6():
     assert_allclose(traj.states[:, -1], closed, rtol=100 * RTOL)
 
 
+def test_logtime_monodisperse_is_a_fixed_point():
+    """Monodisperse data has u = (1 + t) c_N = 1 for all t, a fixed point of
+    du/ds = u + field(u): the reported c_N is 1/(1 + t) to a few ulp at the
+    default atol."""
+    traj = integrate_logtime([0.0, 0.0, 1.0], 1e6)
+    u = (1.0 + traj.abscissae) * traj.states[:, -1]
+    assert np.all(np.abs(u - 1.0) <= 4 * np.spacing(1.0))
+
+
 def test_logtime_requires_t_end_beyond_switch():
     with pytest.raises(ValueError):
         integrate_logtime(np.ones(3), 0.5)
@@ -274,8 +287,10 @@ def test_logtime_tc1_approaches_one(logtime_n3):
 def test_logtime_zero_lattice_preserved():
     traj = integrate_logtime([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 1e4)
     assert np.all(traj.states[:, 0::2] == 0.0)
-    # every accepted step is a sample
-    assert traj.stats.accepted == traj.n_samples - 1
+    # the samples are s = 0 and the s-grid, uniform in s = log(1 + t)
+    s_grid = np.log(geometric_grid(1.0, 1.0 + 1e4, 64))
+    assert traj.abscissae.tobytes() == np.expm1(s_grid).tobytes()
+    assert traj.stats.accepted < traj.n_samples - 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +391,8 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
         for x, c in ((0.0, c0), (1.5, 0.5 * c0), (12.0, c0 * 1e-4)):
             z = np.concatenate([c, [0.1, 0.2, 0.3]])
             expected = density_rate(x, z)
-            if chart == "log-t":
-                expected = expected * math.exp(x)
+            if chart == "log-t":  # du/ds = u + field(u) for u = (1 + t) c
+                expected = expected + np.concatenate([c, np.zeros(3)])
             assert rate(x, z).tobytes() == expected.tobytes()
 
 
@@ -416,17 +431,18 @@ def test_t_driver_matches_generic_path_bitwise(c0):
 def test_logtime_driver_matches_generic_path_bitwise(c0):
     t_end = 1e5
     traj = integrate_logtime(c0, t_end)
-    s_grid = np.log1p(geometric_grid(1.0, t_end, 64))
+    s_grid = np.log(geometric_grid(1.0, 1.0 + t_end, 64))
     ref = integrate_adaptive(
-        lambda s, z: density_rate(s, z) * math.exp(s),
+        lambda s, z: density_rate(s, z) + np.concatenate([z[:-3], np.zeros(3)]),
         packed(c0),
         (0.0, s_grid[-1]),
         grid=s_grid,
-        land_on_grid=True,
         aux_names=DENSITY_AUX,
         chart="log-t",
     )
-    _assert_same_bits(traj, ref, np.expm1(ref.abscissae))
+    s = ref.abscissae
+    ref = replace(ref, states=np.exp(-s)[:, None] * ref.states)
+    _assert_same_bits(traj, ref, np.expm1(s))
 
 
 @pytest.mark.parametrize("c0", _REFERENCE_C0[:2])
