@@ -173,20 +173,10 @@ def _known(name: str, obj: dict, keys) -> dict:
     return obj
 
 
-def _settings(raw: dict) -> IntegratorSettings:
-    """Integrator settings of a config document (rtol, atol, max_steps)."""
-    try:
-        return IntegratorSettings(
-            rtol=_finite("rtol", raw.get("rtol", 1e-9)),
-            atol=_finite("atol", raw.get("atol", 1e-12)),
-            max_steps=_integer("max_steps", raw.get("max_steps", 1_000_000)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def resolve_run(raw: dict) -> dict:
-    """Turn a raw config document into validated run inputs."""
+    """Turn a raw config document into validated driver inputs, the chart's
+    own included: a command refuses a bad run before it integrates or writes.
+    Each command writes the chart it runs into raw first."""
     _known("config", raw, _RUN_KEYS)
     if "N" not in raw:
         raise ConfigError("config requires an integer N")
@@ -194,6 +184,11 @@ def resolve_run(raw: dict) -> dict:
     try:
         c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
         config = SystemConfig(N=N, c0=c0)
+        settings = IntegratorSettings(
+            rtol=_finite("rtol", raw.get("rtol", 1e-9)),
+            atol=_finite("atol", raw.get("atol", 1e-12)),
+            max_steps=_integer("max_steps", raw.get("max_steps", 1_000_000)),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sampling = _known("sampling", _object("sampling", raw.get("sampling")), _SAMPLING_KEYS)
@@ -205,29 +200,42 @@ def resolve_run(raw: dict) -> dict:
     chart = raw.get("chart", "t")
     if chart not in ("t", "log-t", "phi"):
         raise ConfigError(f"unknown chart {chart!r}")
+    t_end = _finite("t_end", raw.get("t_end", 10.0))
+    cap = _finite("cap", raw.get("cap", 1e10))
+    phi0 = None
+    if chart == "phi":
+        if N < 3:
+            raise ConfigError(f"the phi chart and its blowup laws need N >= 3, got N={N}")
+        if (c0 <= 0).any():
+            raise ConfigError("the phi chart needs strictly positive initial densities")
+        phi0 = c0[:-1] / c0[-1]
+        if not cap > phi0[0]:
+            raise ConfigError(f"cap {cap} must exceed phi_1(0) = {phi0[0]}")
+    elif not t_end > 0:
+        raise ConfigError(f"t_end must be > 0, got {t_end}")
     verify_theorem = raw.get("verify_theorem", False)
     if not isinstance(verify_theorem, bool):
         raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
+    profile = None
+    if verify_theorem:
+        if chart == "phi":
+            raise ConfigError("long-time law verification needs the t or log-t chart")
+        try:
+            profile = support_profile(c0)
+            longtime_laws(profile.n_eff, profile.m)  # a support with no long-time law
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return {
         "config": config,
-        "settings": _settings(raw),
+        "settings": settings,
         "chart": chart,
-        "t_end": _finite("t_end", raw.get("t_end", 10.0)),
-        "cap": _finite("cap", raw.get("cap", 1e10)),
+        "t_end": t_end,
+        "cap": cap,
+        "phi0": phi0,
         "points_per_decade": points_per_decade,
         "decades": _finite("sampling.decades", sampling.get("decades", 6.0)),
-        "verify_theorem": verify_theorem,
+        "theorem_profile": profile,  # None unless verify_theorem
     }
-
-
-def _phi0(run: dict) -> np.ndarray:
-    """Initial point of the phi chart, phi0 = c0[:-1] / c0[-1]."""
-    config = run["config"]
-    if config.N < 3:
-        raise ConfigError(f"the phi chart and its blowup laws need N >= 3, got N={config.N}")
-    if (config.c0 <= 0).any():
-        raise ConfigError("the phi chart needs strictly positive initial densities")
-    return config.c0[:-1] / config.c0[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,40 +324,39 @@ def _simulate_trajectory(run: dict) -> Trajectory:
             settings,
             points_per_decade=run["points_per_decade"],
         )
-    traj, _ = integrate_phi_to_blowup(_phi0(run), run["cap"], settings)
+    return integrate_phi_to_blowup(run["phi0"], run["cap"], settings)[0]
+
+
+def _simulate_and_write(run: dict, csv_path) -> Trajectory:
+    """Integrate a resolved run and write its CSV, plus the long-time residual
+    report at *.report.json when the run verifies the theorem."""
+    traj = _simulate_trajectory(run)
+    if run["theorem_profile"] is not None:
+        # diagnosed before anything is written: a failing diagnostic leaves no file
+        diags = asymptotics.longtime_diagnostic(traj, run["theorem_profile"])
+        report = {str(j): {"final_residual": d.final_residual} for j, d in diags.items()}
+    write_trajectory_csv(traj, csv_path)
+    if run["theorem_profile"] is not None:
+        write_json(report, Path(csv_path).with_suffix(".report.json"))
     return traj
 
 
 def cmd_simulate(args) -> int:
-    run = resolve_run(load_config(args.config))
+    raw = load_config(args.config)
     if args.chart:
-        run["chart"] = args.chart
-    if run["verify_theorem"]:
-        if run["chart"] == "phi":
-            raise ConfigError("long-time law verification needs the t or log-t chart")
-        profile = support_profile(run["config"].c0)
-        # refuses, before integrating, a support with no long-time law
-        longtime_laws(profile.n_eff, profile.m)
-    traj = _simulate_trajectory(run)
-    if run["verify_theorem"]:
-        # diagnosed before anything is written: a failing diagnostic leaves no file
-        diags = asymptotics.longtime_diagnostic(traj, profile)
-        report = {
-            str(j): {"final_residual": d.final_residual} for j, d in diags.items()
-        }
-    write_trajectory_csv(traj, args.out)
-    if run["verify_theorem"]:
-        write_json(report, Path(args.out).with_suffix(".report.json"))
+        raw["chart"] = args.chart
+    _simulate_and_write(resolve_run(raw), args.out)
     return EXIT_OK
 
 
 def cmd_blowup(args) -> int:
     raw = load_config(args.config)
+    raw["chart"] = "phi"
     if args.cap is not None:
         raw["cap"] = args.cap
     run = resolve_run(raw)
     N = run["config"].N
-    traj, estimate = integrate_phi_to_blowup(_phi0(run), run["cap"], run["settings"])
+    traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
     write_trajectory_csv(traj, args.out)
 
     phi1 = traj.states[:, 0]
@@ -390,7 +397,7 @@ def _emit(checks) -> int:
 
 
 def _identity_checks(run: dict) -> list:
-    s = harness.identity_suite(_simulate_trajectory({**run, "chart": "t"})).summary()
+    s = harness.identity_suite(_simulate_trajectory(run)).summary()
     return [
         ("nu_odd closed form", s["nu_odd"]["ok"],
          f"max rel err {s['nu_odd']['max_rel_err']:.3e} (tol {s['nu_odd']['tol']:.1e})"),
@@ -404,7 +411,7 @@ def _identity_checks(run: dict) -> list:
 def _support_checks(run: dict) -> list:
     config = run["config"]
     profile = support_profile(config.c0)
-    traj = _simulate_trajectory({**run, "chart": "t"})
+    traj = _simulate_trajectory(run)
     lattice = set(range(profile.m, profile.p + 1, profile.m))
     off = [j - 1 for j in range(1, config.N + 1) if j not in lattice]
     off_zero = bool(np.all(traj.states[:, off] == 0.0)) if off else True
@@ -423,8 +430,7 @@ def _support_checks(run: dict) -> list:
 
 
 def _asymptotics_checks(run: dict) -> list:
-    phi0 = _phi0(run)
-    traj, estimate = integrate_phi_to_blowup(phi0, run["cap"], run["settings"])
+    traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
     rep = asymptotics.blowup_diagnostic(traj, estimate)
     exp_err = max(
         abs(rep.fitted[j].exponent / rep.theoretical[j].exponent - 1.0)
@@ -449,7 +455,7 @@ def _asymptotics_checks(run: dict) -> list:
     ]
     # cross-check against the frozen reference fixture when one matches
     # (fixture location honours RBK_FIXTURES)
-    if np.all(phi0 == 1.0):
+    if np.all(run["phi0"] == 1.0):
         try:
             fixtures = harness.load_fixtures()
         except OSError as exc:  # a set but unreadable path must not drop the row
@@ -464,16 +470,16 @@ def _asymptotics_checks(run: dict) -> list:
     return checks
 
 
-# suite name -> (checks of a resolved run, config used when --config is absent)
+# suite name -> (checks of a resolved run, its chart, config used without --config)
 _SUITES = {
-    "identities": (_identity_checks, {
+    "identities": (_identity_checks, "t", {
         "N": 5, "c0": {"random": {}}, "seed": 20240809, "t_end": 100.0,
         "sampling": {"points_per_decade": 320},
     }),
-    "support": (_support_checks, {
+    "support": (_support_checks, "t", {
         "N": 6, "c0": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], "t_end": 100.0,
     }),
-    "asymptotics": (_asymptotics_checks, {"N": 4, "c0": {"uniform": {}}}),
+    "asymptotics": (_asymptotics_checks, "phi", {"N": 4, "c0": {"uniform": {}}}),
 }
 
 
@@ -507,16 +513,16 @@ def _theorem_constants_checks(args) -> list:
 
     raw = load_config(args.config) if args.config else {}
     _known("config", raw, ("t_end", "rtol", "atol", "max_steps"))
-    t_end = _finite("t_end", raw.get("t_end", 1e8))
     c0 = embed_reduced(np.ones(p // m), m, N)
-    traj = integrate_logtime(c0, t_end, _settings(raw))
+    run = resolve_run({"t_end": 1e8, **raw, "N": N, "c0": list(c0), "chart": "log-t"})
+    traj = _simulate_trajectory(run)
     profile = support_profile(c0)
 
     def final_decades(diags):
         # max |e_j| at t_end and one/two decades earlier
         out = []
         for frac in (1e-4, 1e-2, 1.0):
-            tt = t_end * frac
+            tt = run["t_end"] * frac
             vals = []
             for d in diags.values():
                 i = int(np.argmin(np.abs(d.abscissae - tt)))
@@ -551,8 +557,9 @@ def _theorem_constants_checks(args) -> list:
 def cmd_verify(args) -> int:
     if args.suite == "theorem-constants":
         return _emit(_theorem_constants_checks(args))
-    checks, default = _SUITES[args.suite]
-    return _emit(checks(resolve_run(load_config(args.config) if args.config else default)))
+    checks, chart, default = _SUITES[args.suite]
+    raw = load_config(args.config) if args.config else default
+    return _emit(checks(resolve_run({**raw, "chart": chart})))
 
 
 def cmd_constants(args) -> int:
@@ -575,9 +582,8 @@ def cmd_constants(args) -> int:
 def _sweep_cell(cell_id: str, raw: dict, run: dict, outdir: Path) -> dict:
     entry = {"id": cell_id, "params": raw, "status": "ok"}
     try:
-        traj = _simulate_trajectory(run)
         csv_path = outdir / cell_id / "trajectory.csv"
-        write_trajectory_csv(traj, csv_path)
+        traj = _simulate_and_write(run, csv_path)
         report = {
             "final_abscissa": traj.final_abscissa,
             "final_state": list(traj.final_state),
@@ -611,9 +617,7 @@ def cmd_sweep(args) -> int:
     cells = []
     for i, combo in enumerate(itertools.product(*values)):
         cell_id = f"cell{i:03d}"
-        cell_raw = json.loads(json.dumps(base))
-        for k, v in zip(keys, combo):
-            cell_raw[k] = v
+        cell_raw = {**json.loads(json.dumps(base)), **dict(zip(keys, combo))}
         try:
             cells.append((cell_id, cell_raw, resolve_run(cell_raw)))
         except ConfigError as exc:
@@ -624,8 +628,7 @@ def cmd_sweep(args) -> int:
     # serial on purpose: stepping holds the interpreter lock, so threads
     # only add contention
     entries = [_sweep_cell(*cell, outdir) for cell in cells]
-    manifest = {"grid_keys": keys, "cells": entries}
-    write_json(manifest, outdir / "manifest.json")
+    write_json({"grid_keys": keys, "cells": entries}, outdir / "manifest.json")
     return EXIT_NUMERICAL if any(e["status"] != "ok" for e in entries) else EXIT_OK
 
 

@@ -245,6 +245,15 @@ def test_negative_points_per_decade_exits_3_in_every_chart(tmp_path, capsys, cha
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize("t_end", [0, -1])
+@pytest.mark.parametrize("chart", ["t", "log-t"])
+def test_non_positive_t_end_exits_3_in_both_t_charts(tmp_path, capsys, chart, t_end):
+    cfg = write_config(tmp_path, N=3, t_end=t_end, chart=chart)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert f"t_end must be > 0, got {float(t_end)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 def test_logtime_zero_points_per_decade_samples_every_step(tmp_path):
     cfg = write_config(tmp_path, N=3, t_end=1e4, chart="log-t",
                        sampling={"points_per_decade": 0})
@@ -330,6 +339,19 @@ def test_phi_chart_commands_refuse_a_zero_density_alike(tmp_path, capsys, comman
     argv = [a if a != "x.csv" else str(tmp_path / a) for a in command]
     assert main([*argv, "--config", cfg]) == 3
     assert "strictly positive initial densities" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--chart", "phi", "--out", "x.csv"], ["blowup", "--out", "x.csv"],
+     ["verify", "asymptotics"]],
+)
+def test_phi_chart_commands_refuse_a_theorem_request_alike(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, N=3, cap=1e4, verify_theorem=True)
+    argv = [a if a != "x.csv" else str(tmp_path / a) for a in command]
+    assert main([*argv, "--config", cfg]) == 3
+    assert "needs the t or log-t chart" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
@@ -437,7 +459,7 @@ def test_sweep_grid(tmp_path):
 
 
 def test_sweep_cell_matches_single_run_bitwise(tmp_path):
-    base = {"c0": {"uniform": {}}, "t_end": 2.0}
+    base = {"c0": {"uniform": {}}, "t_end": 2.0, "verify_theorem": True}
     cfg = write_config(tmp_path, base=base, grid={"N": [3]})
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 0
@@ -446,6 +468,9 @@ def test_sweep_cell_matches_single_run_bitwise(tmp_path):
     assert main(["simulate", "--config", single_cfg, "--out", str(single_out)]) == 0
     cell_csv = outdir / "cell000" / "trajectory.csv"
     assert cell_csv.read_bytes() == single_out.read_bytes()
+    # the theorem report lands beside the CSV, as simulate writes it
+    cell_report = outdir / "cell000" / "trajectory.report.json"
+    assert cell_report.read_bytes() == single_out.with_suffix(".report.json").read_bytes()
 
 
 def test_sweep_empty_grid_exits_1(tmp_path):
@@ -477,12 +502,24 @@ def test_sweep_nested_unknown_key_exits_3_before_running(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_sweep_bad_value_in_any_cell_exits_3_before_running(tmp_path, capsys):
-    cfg = write_config(tmp_path, base={"c0": [1.0, 1.0, 1.0], "t_end": 2.0},
-                       grid={"N": [3, 4]})  # N=4 mismatches the explicit c0
+@pytest.mark.parametrize(
+    "base, grid, message",
+    [
+        # N=4 mismatches the explicit c0
+        ({"c0": [1.0, 1.0, 1.0], "t_end": 2.0}, {"N": [3, 4]}, "cell001: c0 has length 3"),
+        ({"chart": "phi"}, {"N": [3, 2]}, "cell001: the phi chart and its blowup laws need N"),
+        ({"chart": "phi", "N": 3}, {"cap": [1e4, 0.5]}, "cell001: cap 0.5 must exceed phi_1(0)"),
+        ({"chart": "t", "N": 3}, {"t_end": [2.0, -1]}, "cell001: t_end must be > 0"),
+        ({"chart": "log-t", "N": 3}, {"t_end": [0]}, "cell000: t_end must be > 0"),
+    ],
+    ids=["c0-length", "phi-N", "phi-cap", "t-t_end", "log-t-t_end"],
+)
+def test_sweep_bad_value_in_any_cell_exits_3_before_running(tmp_path, capsys, base, grid,
+                                                            message):
+    cfg = write_config(tmp_path, base=base, grid=grid)
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
-    assert "cell001: c0 has length 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -273,9 +273,23 @@ def test_logtime_monodisperse_is_a_fixed_point():
     assert np.all(np.abs(u - 1.0) <= 4 * np.spacing(1.0))
 
 
-def test_logtime_requires_t_end_beyond_switch():
-    with pytest.raises(ValueError):
-        integrate_logtime(np.ones(3), 0.5)
+@pytest.mark.parametrize("points_per_decade", [0, 64])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("t_end", [1e-3, 0.5, 1.0])
+def test_logtime_short_span_matches_t_chart(t_end, n, points_per_decade):
+    """Any t_end > 0 runs in the log-t chart: every sample, accumulators
+    included, agrees with a t-chart run at rtol 1e-12 sampled at the same t."""
+    c0 = np.random.default_rng(n).uniform(0.1, 1.0, n)
+    traj = integrate_logtime(c0, t_end, points_per_decade=points_per_decade)
+    ref = integrate_adaptive(
+        density_rate, packed(c0), (0.0, traj.final_abscissa),
+        IntegratorSettings(rtol=1e-12, atol=1e-15), grid=traj.abscissae,
+        aux_names=DENSITY_AUX,
+    )
+    assert_allclose(ref.abscissae, traj.abscissae, rtol=0.0, atol=0.0)
+    assert_allclose(traj.states, ref.states, rtol=100 * RTOL, atol=0.0)
+    for name in DENSITY_AUX:
+        assert_allclose(traj.aux_series(name), ref.aux_series(name), rtol=100 * RTOL, atol=0.0)
 
 
 def test_logtime_tc1_approaches_one(logtime_n3):
