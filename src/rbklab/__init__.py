@@ -28,7 +28,6 @@ from .integrate import (
     IntegratorSettings,
     Trajectory,
     chart_map_t_to_phi,
-    estimate_omega,
     integrate_adaptive,
     integrate_logtime,
     integrate_phi_to_blowup,

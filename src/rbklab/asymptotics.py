@@ -30,6 +30,7 @@ from .core import (
 from .integrate import BlowupEstimate, Trajectory
 
 __all__ = [
+    "PSI_RESIDUAL_TOL",
     "BlowupReport",
     "PowerLawFit",
     "RatioTrend",
@@ -40,6 +41,11 @@ __all__ = [
     "psi_diagnostic",
     "ratio_divergence",
 ]
+
+
+# |rho^_j| at the last sample of a blowup run below which its laws count as
+# converged (psi_diagnostic)
+PSI_RESIDUAL_TOL = 0.1
 
 
 class PowerLawFit(NamedTuple):

@@ -33,6 +33,7 @@ from .integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
+    grid_times,
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
@@ -197,6 +198,7 @@ def resolve_run(raw: dict) -> dict:
     )
     if points_per_decade < 0:  # 0 samples every accepted step
         raise ConfigError(f"sampling.points_per_decade must be >= 0, got {points_per_decade}")
+    decades = _finite("sampling.decades", sampling.get("decades", 6.0))
     chart = raw.get("chart", "t")
     if chart not in ("t", "log-t", "phi"):
         raise ConfigError(f"unknown chart {chart!r}")
@@ -223,8 +225,17 @@ def resolve_run(raw: dict) -> dict:
         try:
             profile = support_profile(c0)
             longtime_laws(profile.n_eff, profile.m)  # a support with no long-time law
+            # the long-time residuals need two samples beyond t = 1; a grid
+            # run's samples are known up front
+            beyond = 2
+            if points_per_decade > 0:
+                beyond = int((grid_times(chart, t_end, points_per_decade, decades) > 1.0).sum())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if beyond < 2:
+            raise ConfigError(
+                f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
+            )
     return {
         "config": config,
         "settings": settings,
@@ -233,7 +244,7 @@ def resolve_run(raw: dict) -> dict:
         "cap": cap,
         "phi0": phi0,
         "points_per_decade": points_per_decade,
-        "decades": _finite("sampling.decades", sampling.get("decades", 6.0)),
+        "decades": decades,
         "theorem_profile": profile,  # None unless verify_theorem
     }
 
@@ -357,22 +368,20 @@ def cmd_blowup(args) -> int:
     run = resolve_run(raw)
     N = run["config"].N
     traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
-    write_trajectory_csv(traj, args.out)
-
-    phi1 = traj.states[:, 0]
-    window_too_short = bool(phi1[-1] / phi1[0] < 1e4)
     report = {
         "N": N,
         "cap": run["cap"],
         "omega": estimate.omega,
         "uncertainty": estimate.uncertainty,
         "method": estimate.method,
-        "flags": {"window_too_short": window_too_short},
+        "flags": {"laws_unconverged": True},
+        "fitted_laws": None,  # stays None only on a run of fewer than 3 rows
+        "theoretical_laws": _law_table(blowup_laws(N)),
     }
-    if window_too_short:
-        report["fitted_laws"] = None
-        report["theoretical_laws"] = _law_table(blowup_laws(N))
-    else:
+    if traj.n_samples >= 3:
+        psi = asymptotics.psi_diagnostic(traj)
+        worst = max(abs(d.final_residual) for d in psi.values())
+        report["flags"]["laws_unconverged"] = bool(worst >= asymptotics.PSI_RESIDUAL_TOL)
         fit_report = asymptotics.blowup_diagnostic(traj, estimate)
         report["fitted_laws"] = {
             str(j): {
@@ -382,8 +391,9 @@ def cmd_blowup(args) -> int:
             }
             for j, f in sorted(fit_report.fitted.items())
         }
-        report["theoretical_laws"] = _law_table(fit_report.theoretical)
         report["fit_window_y"] = list(fit_report.window)
+    # diagnosed before anything is written: a failing diagnostic leaves no file
+    write_trajectory_csv(traj, args.out)
     write_json(report, Path(args.out).with_suffix(".report.json"))
     return EXIT_OK
 
@@ -447,7 +457,8 @@ def _asymptotics_checks(run: dict) -> list:
     checks = [
         ("blowup exponents within 5%", exp_err < 0.05, f"max rel err {exp_err:.3e}"),
         ("blowup prefactors within 20%", pre_err < 0.20, f"max rel err {pre_err:.3e}"),
-        ("psi polynomial residuals < 0.1", psi_final < 0.1, f"max |rho^| {psi_final:.3e}"),
+        (f"psi polynomial residuals < {asymptotics.PSI_RESIDUAL_TOL}",
+         psi_final < asymptotics.PSI_RESIDUAL_TOL, f"max |rho^| {psi_final:.3e}"),
         ("ratio divergence", ratios_ok,
          f"final phi_1/phi_2 = {ratios[1].final_value:.3e}"),
         ("omega uncertainty", True,

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the adaptive machinery it is used to
 validate: the reference integrator is classical fixed-step RK4, blowup points
 come from a fixed-step run in the log(phi_1) chart rather than from the
-tau-inversion estimator, and the identity checks compare trajectories against
+adaptive log-psi run, and the identity checks compare trajectories against
 closed forms and finite differences only.
 
 Fixture protocol: every oracle-derived expected value used by the test suite
@@ -370,7 +370,7 @@ def generate_fixtures(path: Path | None = None) -> dict:
             N, seed=100 + N, t_end=10.0, h0=1e-4, halvings=4
         )
 
-    for N in (3, 4, 5):
+    for N in (3, 4, 5, 8, 12, 16):
         est = omega_reference(np.ones(N - 1))
         fixtures[f"omega/N{N}_ones"] = {
             "inputs": {"N": N, "phi0": [1.0] * (N - 1), "phi1_stop": 1e40},

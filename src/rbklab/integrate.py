@@ -2,9 +2,10 @@
 
 One explicit Dormand-Prince 5(4) embedded pair with PI step-size control
 drives everything: plain t-chart runs, long-time runs in s = log(1 + t), and
-finite-y blowup runs of the phi-chart.  Auxiliary accumulators (the chart
-changes y = int c_N, tau = int c_1 = int phi_1 dy, and int nu) are appended to
-the state vector and integrated under the same error control.
+finite-y blowup runs of the phi chart in s = log(1 + tau).  Auxiliary
+accumulators (the chart changes y = int c_N, tau = int c_1 = int phi_1 dy, and
+int nu) are appended to the state vector and integrated under the same error
+control.
 
 The system is non-stiff in every chart at desk scale: the nonlinearity is a
 decaying quadratic in t and a polynomially growing one in tau, so an explicit
@@ -31,8 +32,8 @@ __all__ = [
     "Trajectory",
     "autonomous",
     "chart_map_t_to_phi",
-    "estimate_omega",
     "geometric_grid",
+    "grid_times",
     "integrate_adaptive",
     "integrate_logtime",
     "integrate_phi_to_blowup",
@@ -101,8 +102,9 @@ class Trajectory:
     integrator's counters when the trajectory came out of a run.
     """
 
-    # chart -> the abscissa it is integrated in; log-t runs in s = log(1 + t)
-    CHARTS = {"t": "t", "log-t": "s", "phi-y": "y"}
+    # chart -> the abscissa it is integrated in: log-t runs in s = log(1 + t)
+    # and phi-y in s = log(1 + tau)
+    CHARTS = {"t": "t", "log-t": "s", "phi-y": "s"}
 
     chart: str
     abscissae: np.ndarray
@@ -162,19 +164,20 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class BlowupEstimate:
-    """Estimated blowup point omega of the phi-chart with a heuristic
-    (spread-based) uncertainty; no rigorous error bar is claimed."""
+    """Blowup point omega of the phi chart with the error bar of its method:
+    "log-psi-tail" (integrate_phi_to_blowup) or "richardson"
+    (harness.omega_reference)."""
 
     omega: float
     uncertainty: float
-    method: str = "tauy-extrapolation"
+    method: str = "log-psi-tail"
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not (np.isfinite(self.uncertainty) and self.uncertainty >= 0):
             raise ValueError("uncertainty must be finite and nonnegative")
-        if self.method not in ("tauy-extrapolation", "richardson"):
+        if self.method not in ("log-psi-tail", "richardson"):
             raise ValueError(f"unknown method tag {self.method!r}")
 
 
@@ -196,6 +199,21 @@ def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndar
     decades = math.log10(hi / lo)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(lo, hi, n)
+
+
+def _log_time_grid(t_end: float, points_per_decade: int) -> np.ndarray:
+    """Sample grid of the log-t chart in s = log(1 + t): the s-images of a
+    geometric grid over [1, 1 + t_end], uniform in s."""
+    return np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
+
+
+def grid_times(chart: str, t_end: float, points_per_decade: int, decades: float = 6.0):
+    """The t of every grid sample after the start that a "t" or "log-t" run
+    to t_end with points_per_decade > 0 takes (see integrate_rbk and
+    integrate_logtime)."""
+    if chart == "log-t":
+        return np.expm1(_log_time_grid(t_end, points_per_decade))
+    return geometric_grid(t_end * 10.0 ** (-decades), t_end, points_per_decade)
 
 
 # accumulators of the density charts: y = int c_N dt, tau = int c_1 dt and
@@ -324,10 +342,11 @@ def integrate_adaptive(
     nonneg_guard enforces the density invariant on x: a component below
     -atol rejects the step, and accepted or interpolated values below 0 are
     clamped to exact zero (undershoot beyond the guard cannot be accepted).
-    stop_when(t, x), checked after each accepted step, ends the run early
-    (used for blowup caps).  chart tags the trajectory, whose abscissae stay
-    in the variable integrated over (integrate_logtime maps s back to t), and
-    a failure names that abscissa (Trajectory.CHARTS) and the last accepted h.
+    stop_when(t, z), checked on the whole vector after each accepted step,
+    ends the run early (used for blowup runs).  chart tags the trajectory,
+    whose abscissae stay in the variable integrated over (the drivers map s
+    back to t or y), and a failure names that abscissa (Trajectory.CHARTS)
+    and the last accepted h.
     The returned trajectory carries the run's IntegrationStats.
     """
     if settings is None:
@@ -467,7 +486,7 @@ def integrate_adaptive(
             grid_idx += 1
             next_grid = grid_list[grid_idx] if grid_idx < len(grid_list) else math.inf
 
-        if stop_when is not None and stop_when(t, z[:dim]):
+        if stop_when is not None and stop_when(t, z):
             stopped = True
         if grid is None or on_grid or stopped or t >= t_end:
             ts.append(t)
@@ -523,8 +542,7 @@ def integrate_rbk(
     c0 = np.asarray(c0, dtype=float)
     grid = None
     if t_end > 0 and points_per_decade > 0:
-        lo = t_end * 10.0 ** (-decades)
-        grid = geometric_grid(lo, t_end, points_per_decade)
+        grid = grid_times("t", t_end, points_per_decade, decades)
     return integrate_adaptive(
         _density_rate(c0.size, log_time=False),
         np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
@@ -553,7 +571,7 @@ def integrate_logtime(
     reported in t = e^s - 1 and states as c = u e^-s.
     """
     c0 = np.asarray(c0, dtype=float)
-    s_grid = np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
+    s_grid = _log_time_grid(t_end, points_per_decade)
     traj = integrate_adaptive(
         _density_rate(c0.size, log_time=True),
         np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
@@ -573,13 +591,28 @@ def integrate_phi_to_blowup(
     cap: float = 1e10,
     settings: IntegratorSettings | None = None,
 ) -> tuple[Trajectory, BlowupEstimate]:
-    """Integrate the phi-chart until phi_1 >= cap and extrapolate the blowup
-    point omega from the terminal (y, tau) samples.
+    """Run the phi chart past phi_1 = cap and find its blowup point omega.
 
-    phi_1 dominates every other component near blowup, so capping it bounds
-    the whole state; the default 1e10 keeps the quadratic rates (~1e20) far
-    inside double range.  Every component is validated strictly increasing
-    across samples.
+    The run is made in the twice-rescaled chart psi_j(tau) = phi_j(y(tau)),
+    tau = int phi_1 dy, over s = log(1 + tau).  Its states are w_j = log psi_j
+    for j = 1..N-2 and the accumulator y:
+
+        dw_j/ds = (1 + tau) F_j(psi) / (psi_1 psi_j),   dy/ds = (1 + tau) / psi_1,
+
+    with F = core.phi_field.  psi_{N-1} has rate 1 in tau, so it is
+    tau + phi_{N-1}(0) exactly and is not integrated.  Near blowup
+    psi_j ~ tau^(N-j)/(N-j)!, so w is asymptotically linear in s and the
+    pair's steps grow.
+
+    Since psi_j >= tau^(N-j)/(N-j)!, the tail omega - y = int dtau/psi_1 past
+    tau is at most (N-1)!/(N-2) tau^(2-N).  The run stops once psi_1 >= cap
+    and that bound is below eps*y; omega is y plus the bound, and its
+    uncertainty rtol*omega plus the bound.
+
+    The trajectory is reported in the phi chart, up to the first sample with
+    phi_1 >= cap: abscissae y, states phi (its first row phi0 itself) and the
+    tau accumulator.  It carries the run's IntegrationStats, and a failure
+    names s.  Every component is validated strictly increasing across samples.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.ndim != 1 or phi0.size < 2:
@@ -588,90 +621,70 @@ def integrate_phi_to_blowup(
         raise ValueError("phi chart requires strictly positive initial data")
     if not (math.isfinite(cap) and cap > phi0[0]):
         raise ValueError(f"cap {cap} must be finite and exceed phi_1(0) = {phi0[0]}")
+    if settings is None:
+        settings = IntegratorSettings()
 
-    dim = phi0.size
+    n = phi0.size + 1
+    dim = n - 2
+    last0 = float(phi0[-1])
+    tail_factor = checked_factorial(n - 1) / (n - 2)
+    eps = float(np.finfo(float).eps)
 
-    def rate(y, z):
-        # (phi', tau') with tau' = phi_1; core.phi_field is looked up at call
-        # time, like rbk_field in _density_rate
-        phi = z[:dim]
+    def rate(s, z):
+        tau = math.expm1(s)
+        psi = np.empty(n - 1)
+        psi[:dim] = np.exp(z[:dim])
+        psi[dim] = tau + last0
+        g = (1.0 + tau) / psi[0]
         out = np.empty(dim + 1)
-        out[:dim] = core.phi_field(phi)
-        out[dim] = phi[0]
+        # core.phi_field is looked up at call time, like rbk_field in
+        # _density_rate
+        out[:dim] = g * core.phi_field(psi)[:dim] / psi[:dim]
+        out[dim] = g
         return out
 
+    def converged(s, z):
+        # np.exp as for the reported phi, so the last row is past the cap;
+        # the tail bound is compared without dividing by a small tau
+        return np.exp(z[0]) >= cap and tail_factor < eps * z[dim] * math.expm1(s) ** (n - 2)
+
     try:
-        traj = integrate_adaptive(
+        run = integrate_adaptive(
             rate,
-            np.concatenate([phi0, [0.0]]),
+            np.append(np.log(phi0[:dim]), 0.0),
             (0.0, np.inf),
             settings,
-            aux_names=("tau",),
+            aux_names=("y",),
             nonneg_guard=False,
-            stop_when=lambda y, phi: phi[0] >= cap,
+            stop_when=converged,
             chart="phi-y",
         )
     except IntegrationError as exc:
-        raise IntegrationError(f"cap not reached within max_steps: {exc}") from exc
-    if np.any(np.diff(traj.states, axis=0) <= 0):
+        raise IntegrationError(
+            f"cap not reached, or the tail bound not below eps*y: {exc}"
+        ) from exc
+
+    y = run.aux_series("y")
+    tau = np.expm1(run.abscissae)
+    phi = np.column_stack([np.exp(run.states), tau + last0])
+    phi[0] = phi0
+    rows = int(np.argmax(phi[:, 0] >= cap)) + 1
+    if np.any(np.diff(phi[:rows], axis=0) <= 0):
         raise IntegrationError("phi components failed to increase strictly")
+    traj = Trajectory(
+        chart="phi-y",
+        abscissae=y[:rows],
+        states=phi[:rows],
+        aux={"tau": tau[:rows]},
+        settings=settings,
+        stats=run.stats,
+    )
 
-    n = phi0.size + 1
-    samples = np.column_stack([traj.abscissae, traj.aux_series("tau")])
-    estimate = estimate_omega(samples[1:], n)  # drop y=0 where tau=0
-    return traj, estimate
-
-
-def estimate_omega(samples, N: int) -> BlowupEstimate:
-    """Blowup point from (y, tau) pairs via the terminal relation
-    tau(y) = [(N-2)/(N-1)! * (omega - y)]^(-1/(N-2)) inverted with the
-    correction term dropped:
-
-        omega_hat(y) = y + (N-1)!/(N-2) * tau(y)^(2-N).
-
-    The final per-sample estimate is refined by a Richardson-style (Aitken)
-    extrapolation over three log-spaced points spanning the last decade of
-    the gap omega_hat - y; the uncertainty is the spread of the last three
-    per-sample estimates.  The correction decay rate is unknown, so the
-    uncertainty is heuristic.
-    """
-    if int(N) != N or N < 3:
-        raise ValueError(f"omega estimation needs N >= 3, got {N}")
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise ValueError("need at least 3 (y, tau) samples")
-    y, tau = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(tau) <= 0):
-        raise ValueError("tau samples must be strictly increasing")
-    if np.any(tau <= 0):
-        raise ValueError("tau samples must be positive")
-
-    fac = checked_factorial(N - 1) / (N - 2)
-    w = y + fac * tau ** (2.0 - N)
-    w_last = float(w[-1])
-    uncertainty = float(np.max(w[-3:]) - np.min(w[-3:]))
-
-    omega = w_last
-    gap = w_last - y
-    g_min = float(gap[-1])
-    if g_min > 0 and gap[0] >= 10.0 * g_min:
-        log_gap = np.log(gap)
-        idx = [
-            int(np.argmin(np.abs(log_gap - math.log(target))))
-            for target in (10.0 * g_min, math.sqrt(10.0) * g_min, g_min)
-        ]
-        if idx[0] < idx[1] < idx[2]:
-            w1, w2, w3 = (float(w[i]) for i in idx)
-            d1, d2 = w2 - w1, w3 - w2
-            denom = d2 - d1
-            if denom != 0.0:
-                correction = d2 * d2 / denom
-                # distrust a refinement larger than the window it came from
-                if abs(correction) <= 10.0 * abs(w3 - w1):
-                    omega = w3 - correction
-    if not (np.isfinite(omega) and omega > y[-1]):
-        omega = w_last
-    return BlowupEstimate(omega=omega, uncertainty=uncertainty, method="tauy-extrapolation")
+    tail = tail_factor * float(tau[-1]) ** (2 - n)
+    omega = float(y[-1]) + tail
+    return traj, BlowupEstimate(
+        omega=omega, uncertainty=settings.rtol * omega + tail, method="log-psi-tail"
+    )
 
 
 def chart_map_t_to_phi(traj: Trajectory) -> Trajectory:

@@ -208,6 +208,7 @@ def test_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc):
         ({"N": 25, "t_end": 1.0}, "factorial guard"),
         ({"N": 3, "chart": "phi", "cap": 1e4}, "t or log-t chart"),
         ({"N": 3, "t_end": 1.0}, "need samples beyond t = 1"),
+        ({"N": 3, "t_end": 1.0, "chart": "log-t"}, "need samples beyond t = 1"),
     ],
 )
 def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, doc, message):
@@ -302,19 +303,49 @@ def test_blowup_report(tmp_path):
     header, data = read_trajectory_csv(out)
     assert header[:2] == ["y", "phi_1"]
     report = json.loads(out.with_suffix(".report.json").read_text())
-    assert not report["flags"]["window_too_short"]
+    assert not report["flags"]["laws_unconverged"]
     for j, expected in (("1", 1.5), ("2", 1.0), ("3", 0.5)):
         assert abs(report["fitted_laws"][j]["exponent"] / expected - 1) < 0.05
     assert report["omega"] > data[-1, 0]
+    assert report["method"] == "log-psi-tail"
+    assert report["uncertainty"] <= 1.01e-9 * report["omega"]
+    # the rows end at the first one past the cap
+    assert data[-1, 1] >= 1e8 and np.all(data[:-1, 1] < 1e8)
 
 
 def test_blowup_small_cap_flags_short_window(tmp_path):
+    """A window too short for the laws is flagged by the psi residuals at the
+    last row; the fits are reported all the same."""
     cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=1e2)
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".report.json").read_text())
-    assert report["flags"]["window_too_short"]
-    assert report["fitted_laws"] is None
+    assert report["flags"] == {"laws_unconverged": True}
+    assert sorted(report["fitted_laws"]) == ["1", "2", "3"]
+
+
+def test_blowup_cap_crossed_in_one_step_reports_no_fits(tmp_path):
+    """A cap crossed by the first step leaves two rows: omega is still
+    resolved, and there is nothing to fit."""
+    cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=1.0000001)
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    _, data = read_trajectory_csv(out)
+    assert data.shape[0] == 2
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["flags"] == {"laws_unconverged": True}
+    assert report["fitted_laws"] is None and report["omega"] > data[-1, 0]
+
+
+def test_blowup_flags_unconverged_laws_at_large_n(tmp_path):
+    """At N = 12 and cap 1e10 tau is still too small for the laws: the flag
+    is set even though phi_1 spans ten decades."""
+    cfg = write_config(tmp_path, N=12, c0={"uniform": {}})
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out), "--cap", "1e10"]) == 0
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["flags"] == {"laws_unconverged": True}
+    assert sorted(report["fitted_laws"], key=int) == [str(j) for j in range(1, 12)]
 
 
 @pytest.mark.parametrize("cap", [float("nan"), float("inf")])
@@ -520,6 +551,17 @@ def test_sweep_bad_value_in_any_cell_exits_3_before_running(tmp_path, capsys, ba
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
     assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_too_short_theorem_cell_exits_3_before_running(tmp_path, capsys):
+    """A cell whose sample grid has fewer than two points beyond t = 1 is
+    refused up front, as simulate refuses it."""
+    base = {"N": 3, "verify_theorem": True, "chart": "log-t"}
+    cfg = write_config(tmp_path, base=base, grid={"t_end": [1e4, 1.0]})
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "cell001: verify_theorem: need samples beyond t = 1" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -1,5 +1,5 @@
-"""Adaptive integrator against closed forms, chart consistency, blowup runs,
-and the omega estimator on synthetic and real data."""
+"""Adaptive integrator against closed forms, chart consistency, and blowup
+runs with their omega error bars against the frozen oracle."""
 
 import math
 from dataclasses import replace
@@ -17,7 +17,6 @@ from rbklab.integrate import (
     Trajectory,
     autonomous,
     chart_map_t_to_phi,
-    estimate_omega,
     geometric_grid,
     integrate_adaptive,
     integrate_logtime,
@@ -38,6 +37,16 @@ def density_rate(t, z):
 
 def packed(c0):
     return np.concatenate([c0, np.zeros(3)])
+
+
+def log_psi_rate(s, z, last0):
+    """Packed rate of the blowup run's z = (log psi_1..psi_{N-2}, y) in
+    s = log(1 + tau), with psi_{N-1} = tau + last0, written apart from the
+    driver's own."""
+    tau = math.expm1(s)
+    psi = np.concatenate([np.exp(z[:-1]), [tau + last0]])
+    g = (1.0 + tau) / psi[0]
+    return np.concatenate([g * phi_field(psi)[:-1] / psi[:-1], [g]])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +232,7 @@ def test_max_steps_exhaustion():
         integrate_rbk(np.ones(3), 1e6, tight)
     with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
         integrate_logtime(np.ones(3), 1e6, tight)
-    with pytest.raises(IntegrationError, match=r"exhausted at y=\S+ \(last accepted h="):
+    with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
         integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=tight)
 
 
@@ -326,18 +335,44 @@ def test_blowup_ratio_divergence_n3():
 
 
 def test_blowup_omega_matches_reference_fixture(oracle_fixtures):
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 8, 12, 16):
         fx = oracle_fixtures[f"omega/N{n}_ones"]
         _, estimate = integrate_phi_to_blowup(np.ones(n - 1), cap=1e10)
         rel = abs(estimate.omega / fx["oracle"]["omega"] - 1.0)
         assert rel < fx["tolerance"], f"N={n}: omega off by {rel:.2e}"
 
 
-def test_blowup_uncertainty_shrinks_with_cap():
-    for n in (3, 4, 5):
-        _, e8 = integrate_phi_to_blowup(np.ones(n - 1), cap=1e8)
-        _, e9 = integrate_phi_to_blowup(np.ones(n - 1), cap=1e9)
-        assert e9.uncertainty < e8.uncertainty
+_COVERAGE = [
+    *((n, cap, rtol) for n in (3, 4, 5) for cap in (1e6, 1e8, 1e10) for rtol in (1e-9, 1e-11)),
+    *((n, 1e10, rtol) for n in (8, 12, 16) for rtol in (1e-9, 1e-11)),
+]
+
+
+@pytest.mark.parametrize("n, cap, rtol", _COVERAGE)
+def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, n, cap, rtol):
+    """|omega - oracle| <= uncertainty + the oracle's own error estimate."""
+    oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
+    _, estimate = integrate_phi_to_blowup(np.ones(n - 1), cap, IntegratorSettings(rtol=rtol))
+    assert estimate.method == "log-psi-tail"
+    error = abs(estimate.omega - oracle["omega"])
+    assert error <= estimate.uncertainty + oracle["error_estimate"]
+    # the bar is rtol*omega plus a tail below eps*omega
+    assert estimate.uncertainty <= (rtol + 4 * np.finfo(float).eps) * estimate.omega
+
+
+def test_blowup_trajectory_rows_stop_at_the_cap():
+    """The run goes past the cap to resolve omega; the rows end at the first
+    sample with phi_1 >= cap, start at phi0 bitwise, and keep
+    phi_{N-1} = tau + phi_{N-1}(0)."""
+    phi0 = np.array([0.7, 1.3, 2.1])
+    traj, _ = integrate_phi_to_blowup(phi0, cap=1e6)
+    phi1 = traj.states[:, 0]
+    assert phi1[-1] >= 1e6 and np.all(phi1[:-1] < 1e6)
+    assert traj.states[0].tobytes() == phi0.tobytes()
+    tau = traj.aux_series("tau")
+    assert tau[0] == 0.0 and traj.abscissae[0] == 0.0
+    assert traj.states[:, -1].tobytes() == (tau + phi0[-1]).tobytes()
+    assert traj.stats.accepted > traj.n_samples - 1
 
 
 def test_blowup_rejects_bad_initial_data():
@@ -349,7 +384,7 @@ def test_blowup_rejects_bad_initial_data():
 
 
 def test_blowup_cap_unreachable_with_tight_budget():
-    with pytest.raises(IntegrationError, match="cap not reached.* at y="):
+    with pytest.raises(IntegrationError, match="cap not reached.* at s="):
         integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=IntegratorSettings(max_steps=20))
 
 
@@ -391,12 +426,12 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
             rate, z0, names, tag = _only_run(
                 monkeypatch, integrate_phi_to_blowup, phi0, 1e6
             )
-            assert (names, tag) == (("tau",), "phi-y")
-            assert z0.tobytes() == np.concatenate([phi0, [0.0]]).tobytes()
-            for y, phi in ((0.0, phi0), (0.3, 2.0 * phi0 + 1.0)):
-                z = np.concatenate([phi, [0.7]])
-                expected = np.concatenate([phi_field(phi), [phi[0]]])
-                assert rate(y, z).tobytes() == expected.tobytes()
+            assert (names, tag) == (("y",), "phi-y")
+            w0 = np.log(phi0[:-1])
+            assert z0.tobytes() == np.append(w0, 0.0).tobytes()
+            for s, w in ((0.0, w0), (0.3, 2.0 * w0 + 1.0), (9.0, w0 + 20.0)):
+                z = np.append(w, 0.7)
+                assert rate(s, z).tobytes() == log_psi_rate(s, z, phi0[-1]).tobytes()
             continue
         driver = integrate_rbk if chart == "t" else integrate_logtime
         rate, z0, names, tag = _only_run(monkeypatch, driver, c0, 50.0)
@@ -463,50 +498,33 @@ def test_logtime_driver_matches_generic_path_bitwise(c0):
 def test_phi_driver_matches_generic_path_bitwise(c0):
     cap = 1e10
     phi0 = c0[:-1] / c0[-1]
+    n = c0.size
     traj, estimate = integrate_phi_to_blowup(phi0, cap)
-    ref = integrate_adaptive(
-        lambda y, z: np.concatenate([phi_field(z[:-1]), [z[0]]]),
-        np.concatenate([phi0, [0.0]]),
+    tail_factor = math.factorial(n - 1) / (n - 2)
+    eps = np.finfo(float).eps
+    run = integrate_adaptive(
+        lambda s, z: log_psi_rate(s, z, phi0[-1]),
+        np.append(np.log(phi0[:-1]), 0.0),
         (0.0, np.inf),
-        aux_names=("tau",),
+        aux_names=("y",),
         nonneg_guard=False,
-        stop_when=lambda y, phi: phi[0] >= cap,
+        stop_when=lambda s, z: (
+            np.exp(z[0]) >= cap and tail_factor < eps * z[-1] * math.expm1(s) ** (n - 2)
+        ),
         chart="phi-y",
     )
-    _assert_same_bits(traj, ref, ref.abscissae)
-    samples = np.column_stack([ref.abscissae, ref.aux_series("tau")])[1:]
-    assert estimate == estimate_omega(samples, c0.size)
-
-
-# ---------------------------------------------------------------------------
-# omega estimation
-# ---------------------------------------------------------------------------
-
-
-def test_estimate_omega_exact_synthetic():
-    n = 4
-    y = np.array([1.9, 1.99, 1.999])
-    tau = ((n - 2) / 6.0 * (2.0 - y)) ** (-1.0 / (n - 2))
-    est = estimate_omega(np.column_stack([y, tau]), n)
-    assert est.omega == pytest.approx(2.0, abs=1e-9)
-    assert est.method == "tauy-extrapolation"
-
-
-def test_estimate_omega_perturbed_synthetic():
-    n, omega = 4, 2.0
-    y = omega - np.geomspace(0.5, 1e-4, 60)
-    tau = ((n - 2) / 6.0 * (omega - y) * 1.01) ** (-1.0 / (n - 2))
-    est = estimate_omega(np.column_stack([y, tau]), n)
-    assert abs(est.omega / omega - 1.0) < 0.02
-
-
-def test_estimate_omega_errors():
-    with pytest.raises(ValueError):
-        estimate_omega([[0.1, 1.0], [0.2, 2.0]], 4)  # two samples
-    with pytest.raises(ValueError):
-        estimate_omega([[0.1, 1.0], [0.2, 2.0], [0.3, 1.5]], 4)  # non-monotone
-    with pytest.raises(ValueError):
-        estimate_omega([[0.1, 1.0], [0.2, 2.0], [0.3, 3.0]], 2)  # N too small
+    # back to the phi chart: rows up to the cap, the first one phi0 itself
+    tau = np.expm1(run.abscissae)
+    phi = np.column_stack([np.exp(run.states), tau + phi0[-1]])
+    phi[0] = phi0
+    rows = int(np.argmax(phi[:, 0] >= cap)) + 1
+    y = run.aux_series("y")
+    ref = Trajectory("phi-y", y[:rows], phi[:rows], aux={"tau": tau[:rows]})
+    _assert_same_bits(traj, ref, y[:rows])
+    assert traj.stats == run.stats
+    tail = tail_factor * float(tau[-1]) ** (2 - n)
+    omega = float(y[-1]) + tail
+    assert estimate == BlowupEstimate(omega, RTOL * omega + tail, "log-psi-tail")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +609,10 @@ def test_trajectory_validation():
 
 
 def test_blowup_estimate_validation():
+    assert BlowupEstimate(1.0, 0.0).method == "log-psi-tail"
+    assert BlowupEstimate(1.0, 0.0, method="richardson").method == "richardson"
     with pytest.raises(ValueError):
         BlowupEstimate(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        BlowupEstimate(1.0, 0.0, method="magic")
+    for retired in ("magic", "tauy-extrapolation"):
+        with pytest.raises(ValueError):
+            BlowupEstimate(1.0, 0.0, method=retired)
