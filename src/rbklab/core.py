@@ -169,11 +169,21 @@ def rbk_field(c) -> np.ndarray:
     Component j (1-based) is  sum_{k=1}^{N-j} c_{j+k} c_k - c_j * nu  with
     nu = sum_k c_k; the production sum is empty for j = N, so the last
     component is exactly -c_N * nu.
+
+    c must be a nonempty 1-D vector of finite numbers; anything else raises
+    _as_vector's ValueError.  Its finiteness pass runs only when the lag-0
+    autocorrelation sum_k c_k^2, which the field computes anyway, is not
+    finite; that sum is finite whenever every c_k is, unless it overflows,
+    and then the pass finds c finite and the field is returned.
     """
-    c = _as_vector(c)
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size < 1:
+        _as_vector(c)  # raises the shape error
     n = c.size
     # lag-j autocorrelation supplies the production sums for j = 1 .. N-1
     corr = np.correlate(c, c, mode="full")
+    if not math.isfinite(corr[n - 1]):
+        _as_vector(c)
     prod = np.zeros(n)
     prod[: n - 1] = corr[n:]
     return prod - c * c.sum()
@@ -202,14 +212,30 @@ def phi_field(phi) -> np.ndarray:
     Valid only on strictly positive data; every output component is positive
     (each sum contains the k=1 term phi_{j+1} phi_1 > 0), which is what drives
     the finite-y blowup of this chart.
+
+    phi must be a nonempty 1-D vector of finite positive numbers; anything
+    else raises the ValueError of _as_vector or of the positivity check, in
+    that order.  Both checks run only when phi > 0 fails somewhere (NaN
+    fails it too) or the lag-0 autocorrelation 1 + sum_j phi_j^2, which the
+    field computes anyway, is not finite (+inf makes it so); an overflow of
+    finite data passes them and returns the field.
     """
-    phi = _as_vector(phi, "phi")
-    if (phi <= 0).any():
-        raise ValueError("phi chart requires strictly positive components")
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1 or phi.size < 1 or not (phi > 0).all():
+        _check_phi(phi)
     full = np.concatenate((phi, _ONE))
     n = full.size
     corr = np.correlate(full, full, mode="full")
+    if not math.isfinite(corr[n - 1]):
+        _check_phi(phi)
     return corr[n:]
+
+
+def _check_phi(phi) -> None:
+    """phi_field's input checks in full."""
+    phi = _as_vector(phi, "phi")
+    if (phi <= 0).any():
+        raise ValueError("phi chart requires strictly positive components")
 
 
 def psi_field(psi) -> np.ndarray:

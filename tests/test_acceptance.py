@@ -128,17 +128,20 @@ def test_criterion_5_psi_polynomial_law(blowup_n4):
     )
 
 
-def test_criterion_6_omega_consistency():
-    """Raising the cap from 1e8 to 1e10 moves omega_hat by less than the
-    reported uncertainty of the 1e8 run, for N in {3,4,5}."""
+def test_criterion_6_omega_consistency(oracle_fixtures):
+    """At caps 1e8 and 1e10, omega_hat lies within its reported uncertainty,
+    plus the oracle's own error estimate, of the omega/N{N}_ones fixture for
+    N in {3,4,5}."""
     details = []
     ok = True
     for n in (3, 4, 5):
-        _, e8 = integrate_phi_to_blowup(np.ones(n - 1), cap=1e8)
-        _, e10 = integrate_phi_to_blowup(np.ones(n - 1), cap=1e10)
-        shift = abs(e10.omega - e8.omega)
-        ok &= shift < e8.uncertainty
-        details.append(f"N={n}: |shift| {shift:.2e} < unc {e8.uncertainty:.2e}")
+        oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
+        for cap in (1e8, 1e10):
+            _, est = integrate_phi_to_blowup(np.ones(n - 1), cap=cap)
+            error = abs(est.omega - oracle["omega"])
+            bar = est.uncertainty + oracle["error_estimate"]
+            ok &= error <= bar
+            details.append(f"N={n}, cap {cap:.0e}: |error| {error:.2e} <= {bar:.2e}")
     _report("criterion 6 (omega estimation consistency)", ok, "; ".join(details))
 
 

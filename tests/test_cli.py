@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbklab import cli
+from rbklab import cli, harness
 from rbklab.cli import (
     ConfigError,
     main,
@@ -22,7 +22,7 @@ from rbklab.cli import (
     write_json,
     write_trajectory_csv,
 )
-from rbklab.integrate import integrate_logtime, integrate_rbk
+from rbklab.integrate import Trajectory, integrate_logtime, integrate_rbk
 
 
 def write_config(tmp_path, name="config.json", **doc):
@@ -266,6 +266,43 @@ def test_logtime_zero_points_per_decade_samples_every_step(tmp_path):
     assert data[-1, 0] == traj.final_abscissa
 
 
+def _reference_csv(header, table) -> bytes:
+    """The CSV contract written out value by value."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(x), ".17g") for x in row) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+            1e300, -1e300, 1.7976931348623157e308, math.inf, 0.1, 1 / 3, -2.0]
+
+
+@pytest.mark.parametrize("chart", ["t", "phi-y"])
+def test_csv_bytes_match_a_per_value_reference(tmp_path, chart):
+    """Over more rows than one block, with zeros, -0.0, subnormals and values
+    near 1e+-300, the writer's bytes are format(x, ".17g") per value, and the
+    reader gives the table back bitwise."""
+    rng = np.random.default_rng(11)
+    n, dim = 2 * cli._CSV_BLOCK_ROWS + 37, 4
+    states = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 301, (n, dim))
+    states.flat[: 3 * len(_SPECIAL) : 3] = _SPECIAL
+    x = np.concatenate(([0.0, 5e-324, 1e-300], np.cumsum(rng.uniform(0.5, 1.5, n - 3))))
+    # aux series are nondecreasing; given out of name order, written sorted
+    aux = {"zeta": np.sort(rng.uniform(-1e300, 1e300, n)), "tau": np.arange(n, dtype=float)}
+    aux["tau"][:3] = [-0.0, 0.0, 5e-324]
+    traj = Trajectory(chart, x, states, aux)
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(traj, out)
+    first = "y" if chart == "phi-y" else "t"
+    name = "phi" if chart == "phi-y" else "c"
+    header = [first, *(f"{name}_{j}" for j in range(1, dim + 1)), "tau", "zeta"]
+    table = np.column_stack([x, states, aux["tau"], aux["zeta"]])
+    assert out.read_bytes() == _reference_csv(header, table)
+    got_header, data = read_trajectory_csv(out)
+    assert got_header == header
+    assert data.tobytes() == table.tobytes()
+
+
 def test_write_failing_part_way_leaves_no_file(tmp_path):
     out = tmp_path / "sub" / "report.json"
     with pytest.raises(TypeError):  # "a" is written before "b" fails
@@ -419,7 +456,25 @@ def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, mo
     monkeypatch.setenv("RBK_FIXTURES", str(empty))
     assert main(["verify", "asymptotics"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "reference fixture" not in out
+    assert out.count("PASS") == 4 and "reference fixture" not in out
+    assert "omega uncertainty" not in out
+
+
+def test_verify_asymptotics_fails_when_the_bar_misses_the_fixture(tmp_path, capsys,
+                                                                  monkeypatch):
+    """The omega uncertainty row holds omega's error bar against the fixture:
+    an oracle shifted by 1e-6 relative lies far outside it."""
+    doc = harness.load_fixtures()
+    cfg = write_config(tmp_path, N=4)
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(json.dumps(doc))
+    monkeypatch.setenv("RBK_FIXTURES", str(fixtures))
+    assert main(["verify", "asymptotics", "--config", cfg]) == 0
+    assert "PASS omega uncertainty: omega = 0.758286377 +/- " in capsys.readouterr().out
+    doc["fixtures"]["omega/N4_ones"]["oracle"]["omega"] *= 1.0 + 1e-6
+    fixtures.write_text(json.dumps(doc))
+    assert main(["verify", "asymptotics", "--config", cfg]) == 2
+    assert "FAIL omega uncertainty: omega = 0.758286377 +/- " in capsys.readouterr().out
 
 
 def test_verify_unknown_suite_exits_1():

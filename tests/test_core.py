@@ -99,6 +99,73 @@ def test_phi_field_rejects_nonpositive():
         phi_field([-1.0, 1.0])
 
 
+# the fields' full input checks and formulas, written out: the fields may
+# skip a check only where it cannot fail
+def _checked(x, name):
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite components")
+    return arr
+
+
+def _reference_rbk_field(c):
+    c = _checked(c, "c")
+    n = c.size
+    prod = np.zeros(n)
+    prod[: n - 1] = np.correlate(c, c, mode="full")[n:]
+    return prod - c * c.sum()
+
+
+def _reference_phi_field(phi):
+    phi = _checked(phi, "phi")
+    if (phi <= 0).any():
+        raise ValueError("phi chart requires strictly positive components")
+    full = np.append(phi, 1.0)
+    return np.correlate(full, full, mode="full")[full.size :]
+
+
+_FIELDS = ((rbk_field, _reference_rbk_field), (phi_field, _reference_phi_field))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=12),
+    inserts=st.lists(
+        st.tuples(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]),
+                  st.integers(0, 12)),
+        max_size=2,
+    ),
+)
+def test_field_checks_match_the_full_checks(values, inserts):
+    """Where the full checks raise, the field raises the same ValueError, and
+    warns of nothing first; elsewhere it returns the formula's bits."""
+    x = list(values)
+    for value, pos in inserts:
+        x.insert(pos % (len(x) + 1), value)
+    for field, reference in _FIELDS:
+        try:
+            with np.errstate(all="ignore"):  # finite data may overflow
+                expected = reference(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                field(x)
+            assert str(raised.value) == str(exc)
+        else:
+            with np.errstate(all="ignore"):
+                assert field(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("x", [[1e200, 1e200], [1e308, 1e308, 1e308], [1e154, 1e155]])
+def test_fields_of_finite_data_that_overflows_return(x):
+    for field, reference in _FIELDS:
+        with np.errstate(all="ignore"):
+            got, expected = field(x), reference(x)
+        assert not np.isfinite(got).all()
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_psi_field_hand_values():
     assert_allclose(psi_field([1.0, 1.0, 1.0]), [3.0, 2.0, 1.0], rtol=0)
     assert_allclose(psi_field([2.0, 1.0, 1.0]), [2.0, 1.5, 1.0], rtol=0)
