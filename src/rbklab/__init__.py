@@ -9,14 +9,12 @@ from .core import (
     SupportProfile,
     SystemConfig,
     blowup_laws,
-    densities,
     embed_reduced,
     gcd_reduce,
     longtime_laws,
     longtime_laws_ambient,
     nu_odd_closed,
     phi_field,
-    psi_field,
     rbk_field,
     self_similar,
     support_profile,

@@ -204,8 +204,6 @@ def longtime_diagnostic(
 class RatioTrend:
     """Trend report for one ratio series phi_j/phi_{j+1} (phi_N == 1)."""
 
-    abscissae: np.ndarray
-    ratios: np.ndarray
     increasing: bool        # strictly increasing over the last decade of phi_1
     final_value: float
     exceeds_threshold: bool
@@ -229,8 +227,6 @@ def ratio_divergence(traj: Trajectory, threshold: float = 10.0) -> dict[int, Rat
         ratios = upper / lower
         tail = ratios[last_decade]
         out[j] = RatioTrend(
-            abscissae=traj.abscissae,
-            ratios=ratios,
             increasing=bool(np.all(np.diff(tail) > 0)),
             final_value=float(ratios[-1]),
             exceeds_threshold=bool(ratios[-1] > threshold),

@@ -1,10 +1,11 @@
 """Command-line front end: simulations, blowup runs, verification suites,
 constants tables, and parameter sweeps, with machine-readable outputs.
 
-Exit codes: 0 success, 1 usage/argument error, 2 numerical failure,
-3 invalid configuration.  Identical configurations produce byte-identical
-CSV and JSON outputs; floats are written with 17 significant digits so the
-files round-trip losslessly.
+Exit codes: 0 success, 1 usage/argument error, 2 numerical failure (any
+failure once the inputs were accepted), 3 invalid configuration (inputs
+rejected before anything ran).  Identical configurations produce
+byte-identical CSV and JSON outputs; floats are written with 17 significant
+digits so the files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import asymptotics, core, harness
 from .core import (
+    MAX_LAW_DIMENSION,
     SystemConfig,
     blowup_laws,
     embed_reduced,
@@ -205,9 +207,12 @@ def resolve_run(raw: dict) -> dict:
     t_end = _finite("t_end", raw.get("t_end", 10.0))
     cap = _finite("cap", raw.get("cap", 1e10))
     phi0 = None
+    beyond = 2  # grid samples beyond t = 1; a run without a grid samples every step
     if chart == "phi":
-        if N < 3:
-            raise ConfigError(f"the phi chart and its blowup laws need N >= 3, got N={N}")
+        if not 3 <= N <= MAX_LAW_DIMENSION:
+            raise ConfigError(
+                f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={N}"
+            )
         if (c0 <= 0).any():
             raise ConfigError("the phi chart needs strictly positive initial densities")
         phi0 = c0[:-1] / c0[-1]
@@ -215,6 +220,13 @@ def resolve_run(raw: dict) -> dict:
             raise ConfigError(f"cap {cap} must exceed phi_1(0) = {phi0[0]}")
     elif not t_end > 0:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
+    elif points_per_decade > 0 or chart == "log-t":  # the runs that build a sample grid
+        try:
+            grid = grid_times(chart, t_end, points_per_decade, decades)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"no sample grid to t_end={t_end}: {exc}") from exc
+        if points_per_decade > 0:
+            beyond = int((grid > 1.0).sum())
     verify_theorem = raw.get("verify_theorem", False)
     if not isinstance(verify_theorem, bool):
         raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
@@ -225,13 +237,9 @@ def resolve_run(raw: dict) -> dict:
         try:
             profile = support_profile(c0)
             longtime_laws(profile.n_eff, profile.m)  # a support with no long-time law
-            # the long-time residuals need two samples beyond t = 1; a grid
-            # run's samples are known up front
-            beyond = 2
-            if points_per_decade > 0:
-                beyond = int((grid_times(chart, t_end, points_per_decade, decades) > 1.0).sum())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the long-time residuals need two samples beyond t = 1
         if beyond < 2:
             raise ConfigError(
                 f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
@@ -431,12 +439,14 @@ def _identity_checks(run: dict) -> list:
 
 def _support_checks(run: dict) -> list:
     config = run["config"]
-    profile = support_profile(config.c0)
+    try:
+        reduced, profile = core.gcd_reduce(config)
+    except ValueError as exc:  # an all-zero c0 has no support to check
+        raise ConfigError(str(exc)) from exc
     traj = _simulate_trajectory(run)
     lattice = set(range(profile.m, profile.p + 1, profile.m))
     off = [j - 1 for j in range(1, config.N + 1) if j not in lattice]
     off_zero = bool(np.all(traj.states[:, off] == 0.0)) if off else True
-    reduced, _ = core.gcd_reduce(config)
     round_trip = embed_reduced(reduced.c0, profile.m, config.N)
     rt_exact = bool(np.all(round_trip == config.c0))
     emb = embed_reduced(core.rbk_field(reduced.c0), profile.m, config.N)
@@ -479,7 +489,7 @@ def _asymptotics_checks(run: dict) -> list:
     if np.all(run["phi0"] == 1.0):
         try:
             fixtures = harness.load_fixtures()
-        except OSError as exc:  # a set but unreadable path must not drop the rows
+        except (OSError, ValueError) as exc:  # unreadable or not JSON: must not drop the rows
             raise ConfigError(f"cannot read the fixture file: {exc}") from exc
         fx = fixtures.get("fixtures", {}).get(f"omega/N{run['config'].N}_ones")
         if fx is not None:
@@ -541,9 +551,10 @@ def _theorem_constants_checks(args) -> list:
     raw = load_config(args.config) if args.config else {}
     _known("config", raw, ("t_end", "rtol", "atol", "max_steps"))
     c0 = embed_reduced(np.ones(p // m), m, N)
-    run = resolve_run({"t_end": 1e8, **raw, "N": N, "c0": list(c0), "chart": "log-t"})
+    run = resolve_run({"t_end": 1e8, **raw, "N": N, "c0": list(c0), "chart": "log-t",
+                       "verify_theorem": True})
     traj = _simulate_trajectory(run)
-    profile = support_profile(c0)
+    profile = run["theorem_profile"]
 
     def final_decades(diags):
         # max |e_j| at t_end and one/two decades earlier
@@ -719,12 +730,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationError as exc:
+    except (IntegrationError, ValueError) as exc:  # anything that fails once the inputs passed
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -28,14 +28,12 @@ __all__ = [
     "SystemConfig",
     "blowup_laws",
     "checked_factorial",
-    "densities",
     "embed_reduced",
     "gcd_reduce",
     "longtime_laws",
     "longtime_laws_ambient",
     "nu_odd_closed",
     "phi_field",
-    "psi_field",
     "rbk_field",
     "self_similar",
     "support_profile",
@@ -189,17 +187,6 @@ def rbk_field(c) -> np.ndarray:
     return prod - c * c.sum()
 
 
-def densities(c) -> tuple[float, float, float]:
-    """Total, odd-subscript, and even-subscript densities (nu, nu_odd, nu_even).
-
-    nu is computed as nu_odd + nu_even so the decomposition is exact.
-    """
-    c = _as_vector(c)
-    nu_odd = float(c[0::2].sum())   # 1-based odd subscripts sit at even offsets
-    nu_even = float(c[1::2].sum())
-    return nu_odd + nu_even, nu_odd, nu_even
-
-
 # phi_N == 1, appended to the stored components on every phi-field call
 _ONE = np.ones(1)
 _ONE.setflags(write=False)
@@ -238,40 +225,19 @@ def _check_phi(phi) -> None:
         raise ValueError("phi chart requires strictly positive components")
 
 
-def psi_field(psi) -> np.ndarray:
-    """Rate of the twice-rescaled psi-system: dpsi_j/dtau =
-    (sum_{k=1}^{N-j} psi_{j+k} psi_k) / psi_1 with psi_N == 1.
-
-    The j = N-1 component is psi_N psi_1 / psi_1 = 1 exactly, also in
-    floating point.
-    """
-    psi = _as_vector(psi, "psi")
-    if psi[0] <= 0:
-        raise ValueError("psi chart is singular at psi_1 <= 0")
-    if np.any(psi <= 0):
-        raise ValueError("psi chart requires strictly positive components")
-    full = np.append(psi, 1.0)
-    n = full.size
-    corr = np.correlate(full, full, mode="full")
-    return corr[n:] / psi[0]
-
-
 # ---------------------------------------------------------------------------
 # Support lattice and reduction
 # ---------------------------------------------------------------------------
 
 
-def support_profile(c, zero_tol: float = 0.0) -> SupportProfile:
-    """Detect the positive support P = {j : c_j > zero_tol} and its lattice.
+def support_profile(c) -> SupportProfile:
+    """Detect the positive support P = {j : c_j > 0} and its lattice.
 
-    zero_tol = 0 is the right choice for initial data (exact zeros are
-    preserved by the flow); for evolved states a tolerance on the order of
-    1e-13 * nu(0) absorbs integrator-level noise.
+    Meant for initial data, where no tolerance is needed: the flow and the
+    integrator keep every density off the support lattice bitwise zero.
     """
     c = _as_vector(c)
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    subscripts = np.nonzero(c > zero_tol)[0] + 1
+    subscripts = np.nonzero(c > 0)[0] + 1
     if subscripts.size == 0:
         raise ValueError("empty support")
     support = frozenset(int(j) for j in subscripts)
@@ -287,7 +253,7 @@ def gcd_reduce(config: SystemConfig) -> tuple[SystemConfig, SupportProfile]:
     c~_j := c_{jm} for j = 1..p/m, satisfy the same ODE with N replaced by
     p/m; off-lattice components vanish identically.
     """
-    profile = support_profile(config.c0, zero_tol=0.0)
+    profile = support_profile(config.c0)
     reduced = config.c0[profile.m - 1 :: profile.m][: profile.n_eff]
     return SystemConfig(N=profile.n_eff, c0=reduced), profile
 

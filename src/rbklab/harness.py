@@ -25,9 +25,7 @@ import numpy as np
 from .core import nu_odd_closed, phi_field, rbk_field, self_similar
 from .integrate import (
     BlowupEstimate,
-    IntegratorSettings,
     Trajectory,
-    autonomous,
     integrate_rbk,
 )
 
@@ -60,13 +58,13 @@ def rk4_reference(
     span,
     *,
     record_every: int = 1,
-    chart: str = "t",
 ) -> Trajectory:
     """Classical fixed-step 4th-order integration of dx/dt = field_fn(t, x).
 
     Deterministic: a fixed h reproduces results bitwise.  The final step is
     clipped onto the span end.  record_every thins the stored samples (the
-    endpoint is always kept).
+    endpoint is always kept).  The trajectory is tagged as the "t" chart
+    whatever the abscissa is; callers read its states.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -99,7 +97,7 @@ def rk4_reference(
         if step % record_every == 0 or t >= t1:
             ts.append(t)
             zs.append(z.copy())
-    return Trajectory(chart=chart, abscissae=np.asarray(ts), states=np.asarray(zs))
+    return Trajectory(chart="t", abscissae=np.asarray(ts), states=np.asarray(zs))
 
 
 def richardson_extrapolate(values, order: int, ratio: float = 2.0):
@@ -215,18 +213,12 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
 
 
-def identity_suite(
-    traj: Trajectory,
-    *,
-    tol_closed: float | None = None,
-    tol_dissipation: float = 1e-4,
-) -> IdentityReport:
+def identity_suite(traj: Trajectory) -> IdentityReport:
     """Check the bundled exact identities on a t-chart trajectory carrying a
-    nu accumulator.  Default closed-form threshold is 100*rtol."""
+    nu accumulator.  The closed forms (a) and (b) are held to 100*rtol of the
+    run's settings, the dissipation identity (c) to 1e-4."""
     if "nu_int" not in traj.aux:
         raise ValueError("trajectory lacks the nu accumulator required here")
-    if tol_closed is None:
-        tol_closed = 100.0 * traj.settings.rtol
     t = traj.abscissae
     c = traj.states
 
@@ -255,8 +247,8 @@ def identity_suite(
         nu_odd_err=err_a,
         c_last_err=err_b,
         dissipation_err=err_c,
-        tol_closed=tol_closed,
-        tol_dissipation=tol_dissipation,
+        tol_closed=100.0 * traj.settings.rtol,
+        tol_dissipation=1e-4,
     )
 
 
@@ -266,25 +258,14 @@ class SelfSimilarReport:
     infinite system, over j <= N//3 where truncation effects are smallest."""
 
     max_rel_deviation: float
-    per_component: np.ndarray
     j_max: int
-    alpha: float
-    kappa: float
-    t_end: float
 
 
-def self_similar_residual(
-    N: int,
-    alpha: float,
-    kappa: float,
-    t_end: float,
-    settings: IntegratorSettings | None = None,
-    *,
-    points_per_decade: int = 64,
-) -> SelfSimilarReport:
+def self_similar_residual(N: int, alpha: float, kappa: float, t_end: float) -> SelfSimilarReport:
     """Integrate the N-truncated system from the truncated self-similar
-    profile and report the maximal relative deviation from the profile for
-    j <= N//3 over [0, t_end].
+    profile, at the default settings and sampling of integrate_rbk, and report
+    the maximal relative deviation from the profile for j <= N//3 over
+    [0, t_end].
 
     Requires alpha^N < 1e-8 so truncation is genuinely negligible; the
     reported deviation is observational, not a proven bound.
@@ -294,20 +275,13 @@ def self_similar_residual(
             f"truncation guard violated: alpha^N = {alpha**N:.3g} >= 1e-8"
         )
     c0 = self_similar(alpha, kappa, 0.0, N)
-    traj = integrate_rbk(c0, t_end, settings, points_per_decade=points_per_decade)
+    traj = integrate_rbk(c0, t_end)
     j_max = max(1, N // 3)
     profile = np.array(
         [self_similar(alpha, kappa, ti, N)[:j_max] for ti in traj.abscissae]
     )
     dev = _rel_err(traj.states[:, :j_max], profile)
-    return SelfSimilarReport(
-        max_rel_deviation=float(dev.max()),
-        per_component=dev.max(axis=0),
-        j_max=j_max,
-        alpha=alpha,
-        kappa=kappa,
-        t_end=t_end,
-    )
+    return SelfSimilarReport(max_rel_deviation=float(dev.max()), j_max=j_max)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +307,7 @@ def _oracle_state_fixture(N: int, seed: int, t_end: float, h0: float, halvings: 
     finals = []
     for h in h_sequence:
         traj = rk4_reference(
-            autonomous(rbk_field), c0, h, (0.0, t_end), record_every=10**9
+            lambda t, x: rbk_field(x), c0, h, (0.0, t_end), record_every=10**9
         )
         finals.append(traj.final_state)
     value = richardson_extrapolate(finals, order=4)
@@ -357,7 +331,7 @@ def generate_fixtures(path: Path | None = None) -> dict:
 
     # bit-exact reproducibility anchor: fixed h, no extrapolation
     traj = rk4_reference(
-        autonomous(rbk_field), [1.0, 1.0, 1.0], 1e-3, (0.0, 1.0), record_every=10**9
+        lambda t, x: rbk_field(x), [1.0, 1.0, 1.0], 1e-3, (0.0, 1.0), record_every=10**9
     )
     fixtures["rk4_bitexact/N3_uniform_t1"] = {
         "inputs": {"N": 3, "c0": [1.0, 1.0, 1.0], "h": 1e-3, "t_end": 1.0},

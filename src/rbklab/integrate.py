@@ -30,7 +30,6 @@ __all__ = [
     "IntegrationStats",
     "IntegratorSettings",
     "Trajectory",
-    "autonomous",
     "chart_map_t_to_phi",
     "geometric_grid",
     "grid_times",
@@ -42,8 +41,9 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Numerical failure: step underflow, step budget exhausted, or a
-    non-finite state that error control could not avoid."""
+    """Numerical failure: step underflow, step budget exhausted, a
+    non-finite state that error control could not avoid, or a phi-chart run
+    whose y stopped resolving before phi_1 reached the cap."""
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,6 @@ class BlowupEstimate:
             raise ValueError("uncertainty must be finite and nonnegative")
         if self.method not in ("log-psi-tail", "richardson"):
             raise ValueError(f"unknown method tag {self.method!r}")
-
-
-def autonomous(fn):
-    """Adapt a state-only rate function to the (t, x) driver signature."""
-
-    def wrapped(t, x):
-        return fn(x)
-
-    return wrapped
 
 
 def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
@@ -412,28 +403,21 @@ def integrate_adaptive(
         t_new = t_end if h_step >= t_end - t else t + h_step
 
         n_attempts += 1
-        stage = 0
+        # a stage rate that raises, a non-finite new state and a non-finite
+        # error norm all leave err non-finite and reject the step
+        stage, err = 0, math.nan
         try:
             for stage, (node, a_row) in enumerate(_STAGES, 1):
                 k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
             z_new = z + h_step * (_B @ k[:6])
             stage = 6
             k[6] = rate(t_new, z_new)
-            err_vec = h_step * (_E @ k)
+            if np.isfinite(z_new).all():
+                q = h_step * (_E @ k) / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new)))
+                err = math.sqrt(float((q * q).sum()) / q.size)
         except (ValueError, FloatingPointError, OverflowError):
-            n_evals += stage
-            n_rej_nonfinite += 1
-            h = max(0.1 * h_step, 0.5 * h_min)
-            continue
-        n_evals += 6
-
-        if not np.isfinite(z_new).all():
-            n_rej_nonfinite += 1
-            h = max(0.1 * h_step, 0.5 * h_min)
-            continue
-
-        q = err_vec / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new)))
-        err = math.sqrt(float((q * q).sum()) / q.size)
+            pass
+        n_evals += stage
         if not math.isfinite(err):
             n_rej_nonfinite += 1
             h = max(0.1 * h_step, 0.5 * h_min)
@@ -612,7 +596,9 @@ def integrate_phi_to_blowup(
     The trajectory is reported in the phi chart, up to the first sample with
     phi_1 >= cap: abscissae y, states phi (its first row phi0 itself) and the
     tau accumulator.  It carries the run's IntegrationStats, and a failure
-    names s.  Every component is validated strictly increasing across samples.
+    names s.  Every component and y are validated strictly increasing across
+    samples, so a run whose y reaches omega to double precision before phi_1
+    reaches the cap fails.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.ndim != 1 or phi0.size < 2:
@@ -671,6 +657,11 @@ def integrate_phi_to_blowup(
     rows = int(np.argmax(phi[:, 0] >= cap)) + 1
     if np.any(np.diff(phi[:rows], axis=0) <= 0):
         raise IntegrationError("phi components failed to increase strictly")
+    if np.any(np.diff(y[:rows]) <= 0):
+        raise IntegrationError(
+            f"y stopped increasing before phi_1 reached the cap {cap:g}: omega - y fell "
+            "below y's double-precision resolution; lower the cap"
+        )
     traj = Trajectory(
         chart="phi-y",
         abscissae=y[:rows],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbklab import cli, harness
+from rbklab import asymptotics, cli, harness
 from rbklab.cli import (
     ConfigError,
     main,
@@ -397,6 +397,50 @@ def test_blowup_n2_exits_3(tmp_path):
     assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("command", [["blowup", "--cap", "1e30"], ["simulate", "--chart", "phi"]])
+def test_cap_beyond_the_resolution_of_y_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    """At N = 5, y reaches omega to double precision before phi_1 reaches
+    1e30.  The cap is a valid input, so this is a numerical verdict."""
+    cfg = write_config(tmp_path, N=5, cap=1e30)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "double-precision resolution" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_blowup_value_error_after_the_inputs_passed_exits_2(tmp_path, capsys, monkeypatch):
+    """Only input validation exits 3: a ValueError raised once the run has
+    started is a numerical failure, and the command writes nothing."""
+
+    def broken(traj, estimate):
+        raise ValueError("diagnostic failed")
+
+    monkeypatch.setattr(asymptotics, "blowup_diagnostic", broken)
+    cfg = write_config(tmp_path, N=4)
+    assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "numerical failure: diagnostic failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["simulate"], {"N": 3, "sampling": {"decades": 0}}, "no sample grid"),
+        (["simulate", "--chart", "log-t"], {"N": 3, "t_end": 1e-17}, "no sample grid"),
+        (["simulate", "--chart", "phi"], {"N": 21}, "need N in 3..20"),
+        (["blowup"], {"N": 25}, "need N in 3..20"),
+        (["verify", "support"], {"N": 3, "c0": [0.0, 0.0, 0.0]}, "empty support"),
+        (["verify", "theorem-constants", "--N", "4"], {"t_end": 0.5},
+         "need samples beyond t = 1"),
+    ],
+)
+def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, message):
+    cfg = write_config(tmp_path, **doc)
+    out = [] if command[0] == "verify" else ["--out", str(tmp_path / "x.csv")]
+    assert main([*command, "--config", cfg, *out]) == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
 @pytest.mark.parametrize(
     "command",
     [["simulate", "--chart", "phi", "--out", "x.csv"], ["blowup", "--out", "x.csv"],
@@ -450,6 +494,11 @@ def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, mo
     monkeypatch.setenv("RBK_FIXTURES", str(tmp_path / "missing.json"))
     assert main(["verify", "asymptotics"]) == 3
     assert "cannot read the fixture file" in capsys.readouterr().err
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("not json")
+    monkeypatch.setenv("RBK_FIXTURES", str(garbled))
+    assert main(["verify", "asymptotics"]) == 3
+    assert "invalid config" in capsys.readouterr().err
     # a readable file without the matching entry still just omits the row
     empty = tmp_path / "empty.json"
     empty.write_text('{"fixtures": {}}')

@@ -15,14 +15,12 @@ from rbklab.core import (
     SupportProfile,
     SystemConfig,
     blowup_laws,
-    densities,
     embed_reduced,
     gcd_reduce,
     longtime_laws,
     longtime_laws_ambient,
     nu_odd_closed,
     phi_field,
-    psi_field,
     rbk_field,
     self_similar,
     support_profile,
@@ -57,32 +55,7 @@ def test_rbk_field_single_component():
 
 
 # ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "c, expected",
-    [
-        ([1.0, 2.0, 3.0, 4.0], (10.0, 4.0, 6.0)),
-        ([0.0, 0.0], (0.0, 0.0, 0.0)),
-        ([5.0], (5.0, 5.0, 0.0)),
-    ],
-)
-def test_densities(c, expected):
-    assert densities(c) == expected
-
-
-def test_densities_decomposition_exact():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        c = rng.uniform(0, 1, rng.integers(1, 12))
-        nu, nu_odd, nu_even = densities(c)
-        assert nu == nu_odd + nu_even  # exact by construction
-
-
-# ---------------------------------------------------------------------------
-# phi / psi fields
+# phi field
 # ---------------------------------------------------------------------------
 
 
@@ -166,23 +139,6 @@ def test_fields_of_finite_data_that_overflows_return(x):
         assert got.tobytes() == expected.tobytes()
 
 
-def test_psi_field_hand_values():
-    assert_allclose(psi_field([1.0, 1.0, 1.0]), [3.0, 2.0, 1.0], rtol=0)
-    assert_allclose(psi_field([2.0, 1.0, 1.0]), [2.0, 1.5, 1.0], rtol=0)
-
-
-def test_psi_field_last_component_exactly_one():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        psi = rng.uniform(0.1, 50.0, rng.integers(1, 9))
-        assert psi_field(psi)[-1] == 1.0
-
-
-def test_psi_field_rejects_singular_chart():
-    with pytest.raises(ValueError):
-        psi_field([0.0, 1.0])
-
-
 @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=10))
 def test_phi_field_dominates_leading_product(values):
     """Every phi rate includes its k=1 term, so output_j >= phi_{j+1} phi_1."""
@@ -203,13 +159,8 @@ def test_support_profile_examples():
     assert (sorted(sp.P), sp.m, sp.p, sp.n_eff) == ([2, 4], 2, 4, 2)
     sp = support_profile([1.0, 1.0, 1.0])
     assert (sorted(sp.P), sp.m, sp.p, sp.n_eff) == ([1, 2, 3], 1, 3, 3)
-    sp = support_profile([0.0, 0.0, 1e-20], zero_tol=0.0)
+    sp = support_profile([0.0, 0.0, 1e-20])
     assert (sorted(sp.P), sp.m, sp.p, sp.n_eff) == ([3], 3, 3, 1)
-
-
-def test_support_profile_zero_tol_empties():
-    with pytest.raises(ValueError, match="empty support"):
-        support_profile([0.0, 0.0, 1e-20], zero_tol=1e-12)
 
 
 def test_gcd_reduce_examples():
@@ -379,7 +330,8 @@ def test_nu_odd_self_consistency(values):
     """The cancellation floor is eps * nu^2, which dominates 1e-12 * nu_odd^2
     when the odd share of the density is tiny."""
     c = np.asarray(values)
-    nu, nu_odd, _ = densities(c)
+    nu_odd = c[0::2].sum()  # 1-based odd subscripts sit at even offsets
+    nu = nu_odd + c[1::2].sum()
     odd_rate = rbk_field(c)[0::2].sum()
     assert abs(odd_rate + nu_odd**2) <= 1e-12 * nu_odd**2 + 1e-15 * nu**2 + 1e-30
 
@@ -389,7 +341,7 @@ def test_nu_odd_self_consistency_random_states():
     rng = np.random.default_rng(37)
     for _ in range(100):
         c = rng.uniform(0.1, 1.0, rng.integers(2, 10))
-        _, nu_odd, _ = densities(c)
+        nu_odd = c[0::2].sum()
         odd_rate = rbk_field(c)[0::2].sum()
         assert abs(odd_rate + nu_odd**2) <= 1e-12 * nu_odd**2
 
@@ -435,6 +387,8 @@ def test_system_config_validation():
 
 
 def test_support_profile_validation():
+    with pytest.raises(ValueError, match="empty support"):
+        support_profile([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SupportProfile(frozenset(), 1, 1, 1)
     with pytest.raises(ValueError):

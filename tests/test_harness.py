@@ -18,7 +18,7 @@ from rbklab.harness import (
     rk4_reference,
     self_similar_residual,
 )
-from rbklab.integrate import Trajectory, autonomous, integrate_rbk
+from rbklab.integrate import Trajectory, integrate_rbk
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_rk4_zero_field_constant():
 def test_rk4_reproduces_bitexact_fixture(oracle_fixtures):
     fx = oracle_fixtures["rk4_bitexact/N3_uniform_t1"]
     traj = rk4_reference(
-        autonomous(rbk_field),
+        lambda t, x: rbk_field(x),
         fx["inputs"]["c0"],
         fx["inputs"]["h"],
         (0.0, fx["inputs"]["t_end"]),

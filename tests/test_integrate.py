@@ -15,7 +15,6 @@ from rbklab.integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    autonomous,
     chart_map_t_to_phi,
     geometric_grid,
     integrate_adaptive,
@@ -33,6 +32,10 @@ def density_rate(t, z):
     drivers' own."""
     c = z[:-3]
     return np.concatenate([rbk_field(c), [c[-1], c[0], c.sum()]])
+
+
+def phi_rate(y, phi):
+    return phi_field(phi)
 
 
 def packed(c0):
@@ -153,11 +156,9 @@ def test_grid_samples_are_start_grid_points_and_end():
 
 def test_grid_samples_end_at_stop_point():
     kwargs = dict(nonneg_guard=False, stop_when=lambda y, phi: phi[0] >= 1e6, chart="phi-y")
-    free = integrate_adaptive(autonomous(phi_field), np.ones(3), (0.0, np.inf), **kwargs)
+    free = integrate_adaptive(phi_rate, np.ones(3), (0.0, np.inf), **kwargs)
     grid = np.linspace(0.0, 2.0 * free.final_abscissa, 41)[1:]
-    traj = integrate_adaptive(
-        autonomous(phi_field), np.ones(3), (0.0, np.inf), grid=grid, **kwargs
-    )
+    traj = integrate_adaptive(phi_rate, np.ones(3), (0.0, np.inf), grid=grid, **kwargs)
     inside = grid[grid < free.final_abscissa].tolist()
     assert traj.abscissae.tolist() == [0.0, *inside, free.final_abscissa]
     assert traj.final_state.tobytes() == free.final_state.tobytes()
@@ -224,6 +225,21 @@ def test_integration_stats_count_failed_stages():
     assert stats.rhs_evals == len(calls)
 
 
+# a NaN from the third stage makes the new state non-finite; one from the
+# last stage leaves the new state finite and its error estimate not
+@pytest.mark.parametrize("bad_call", [5, 8])
+def test_integration_stats_count_non_finite_attempts(bad_call):
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        return np.full_like(x, np.nan) if len(calls) == bad_call else -x
+
+    stats = integrate_adaptive(field, [1.0], (0.0, 1.0)).stats
+    assert stats.rejected_nonfinite == 1
+    assert stats.rhs_evals == len(calls)
+
+
 def test_max_steps_exhaustion():
     """The message names the chart's own abscissa and the last accepted h."""
     tight = IntegratorSettings(max_steps=10)
@@ -238,7 +254,7 @@ def test_max_steps_exhaustion():
 
 def test_span_validation():
     with pytest.raises(ValueError):
-        integrate_adaptive(autonomous(rbk_field), np.ones(3), (1.0, 1.0))
+        integrate_adaptive(lambda t, c: rbk_field(c), np.ones(3), (1.0, 1.0))
     with pytest.raises(ValueError, match="ahead of the accumulators"):
         integrate_adaptive(density_rate, np.ones(3), (0.0, 1.0), aux_names=DENSITY_AUX)
 
@@ -565,7 +581,7 @@ def test_phi_chart_consistency_with_mapped_trajectory():
     mapped = chart_map_t_to_phi(traj)
     y = mapped.abscissae
     direct = integrate_adaptive(
-        autonomous(phi_field),
+        phi_rate,
         c0[:-1] / c0[-1],
         (0.0, y[-1]),
         grid=y[1:-1],
