@@ -47,6 +47,9 @@ __all__ = [
 # converged (psi_diagnostic)
 PSI_RESIDUAL_TOL = 0.1
 
+# value every ratio phi_j/phi_{j+1} must end above near blowup (ratio_divergence)
+_RATIO_THRESHOLD = 10.0
+
 
 class PowerLawFit(NamedTuple):
     exponent: float
@@ -163,7 +166,6 @@ def longtime_diagnostic(
     profile: SupportProfile,
     *,
     variant: str = "reduction",
-    ambient_N: int | None = None,
 ) -> dict[int, ConvergenceDiagnostic]:
     """Residuals e_j(t) = c_j t (log t)^(j/m - 1) / A~_j - 1 on the support
     lattice of a long-time run; samples with t <= 1 are excluded.
@@ -171,7 +173,7 @@ def longtime_diagnostic(
     Off-lattice components must be exactly zero at every sample (the support
     lattice is invariant; anything else falsifies the run).  variant selects
     the prefactor convention: "reduction" uses the effective dimension p/m,
-    "ambient" the as-printed ambient-N convention.
+    "ambient" the as-printed convention in the run's own dimension N.
     """
     if traj.chart not in ("t", "log-t"):
         raise ValueError(f"expected a time-chart trajectory, got {traj.chart!r}")
@@ -183,7 +185,7 @@ def longtime_diagnostic(
     if variant == "reduction":
         laws = longtime_laws(profile.n_eff, m)
     elif variant == "ambient":
-        laws = longtime_laws_ambient(ambient_N or traj.dim, m, p)
+        laws = longtime_laws_ambient(traj.dim, m, p)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     t = traj.abscissae
@@ -209,10 +211,10 @@ class RatioTrend:
     exceeds_threshold: bool
 
 
-def ratio_divergence(traj: Trajectory, threshold: float = 10.0) -> dict[int, RatioTrend]:
+def ratio_divergence(traj: Trajectory) -> dict[int, RatioTrend]:
     """Ratio series phi_j/phi_{j+1} of a phi-chart run; near blowup every
     ratio diverges, so each series should be increasing over the final decade
-    of phi_1 and end above the caller threshold."""
+    of phi_1 and end above _RATIO_THRESHOLD."""
     if traj.chart != "phi-y":
         raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
     phi1 = traj.states[:, 0]
@@ -229,7 +231,7 @@ def ratio_divergence(traj: Trajectory, threshold: float = 10.0) -> dict[int, Rat
         out[j] = RatioTrend(
             increasing=bool(np.all(np.diff(tail) > 0)),
             final_value=float(ratios[-1]),
-            exceeds_threshold=bool(ratios[-1] > threshold),
+            exceeds_threshold=bool(ratios[-1] > _RATIO_THRESHOLD),
         )
     return out
 

@@ -392,7 +392,7 @@ def cmd_blowup(args) -> int:
         "cap": run["cap"],
         "omega": estimate.omega,
         "uncertainty": estimate.uncertainty,
-        "method": estimate.method,
+        "method": "log-psi-tail",
         "flags": {"laws_unconverged": True},
         "fitted_laws": None,  # stays None only on a run of fewer than 3 rows
         "theoretical_laws": _law_table(blowup_laws(N)),
@@ -426,7 +426,7 @@ def _emit(checks) -> int:
 
 
 def _identity_checks(run: dict) -> list:
-    s = harness.identity_suite(_simulate_trajectory(run)).summary()
+    s = harness.identity_suite(_simulate_trajectory(run))
     return [
         ("nu_odd closed form", s["nu_odd"]["ok"],
          f"max rel err {s['nu_odd']['max_rel_err']:.3e} (tol {s['nu_odd']['tol']:.1e})"),
@@ -491,18 +491,26 @@ def _asymptotics_checks(run: dict) -> list:
             fixtures = harness.load_fixtures()
         except (OSError, ValueError) as exc:  # unreadable or not JSON: must not drop the rows
             raise ConfigError(f"cannot read the fixture file: {exc}") from exc
-        fx = fixtures.get("fixtures", {}).get(f"omega/N{run['config'].N}_ones")
+        key = f"omega/N{run['config'].N}_ones"
+        entries = _object("fixture file", fixtures).get("fixtures")
+        fx = _object("fixture file: fixtures", entries).get(key)
         if fx is not None:
-            oracle = fx["oracle"]
+            where = f"fixture {key}:"
+            fx = _object(where, fx)
+            oracle = _object(f"{where} oracle", fx.get("oracle"))
+            omega = _finite(f"{where} oracle.omega", oracle.get("omega"))
+            if not omega > 0:
+                raise ConfigError(f"{where} oracle.omega must be positive, got {omega}")
+            bar = _finite(f"{where} oracle.error_estimate", oracle.get("error_estimate"))
+            tol = _finite(f"{where} tolerance", fx.get("tolerance"))
             # the bar must cover the error, up to the oracle's own error
-            covered = (abs(estimate.omega - oracle["omega"])
-                       <= estimate.uncertainty + oracle["error_estimate"])
-            rel = abs(estimate.omega / oracle["omega"] - 1.0)
+            covered = abs(estimate.omega - omega) <= estimate.uncertainty + bar
+            rel = abs(estimate.omega / omega - 1.0)
             checks += [
                 ("omega uncertainty", covered,
                  f"omega = {estimate.omega:.9f} +/- {estimate.uncertainty:.2e}"),
-                ("omega matches reference fixture", rel < fx["tolerance"],
-                 f"rel dev {rel:.3e} (tol {fx['tolerance']:.0e})"),
+                ("omega matches reference fixture", rel < tol,
+                 f"rel dev {rel:.3e} (tol {tol:.0e})"),
             ]
     return checks
 
@@ -522,8 +530,10 @@ _SUITES = {
 
 def _lattice_laws(args):
     """--N/--m/--p as (N, m, p) with the reduction and as-printed long-time
-    laws of that lattice; --m defaults to 1 and --p to N."""
-    N, m = args.N, args.m
+    laws of that lattice; --N defaults to 6 (under verify), --m to 1 and --p
+    to N."""
+    N = 6 if args.N is None else args.N
+    m = 1 if args.m is None else args.m
     p = N if args.p is None else args.p
     if min(N, m, p) < 1:
         raise UsageError(f"--N, --m and --p must be positive, got N={N}, m={m}, p={p}")
@@ -569,9 +579,7 @@ def _theorem_constants_checks(args) -> list:
         return out
 
     red = final_decades(asymptotics.longtime_diagnostic(traj, profile, variant="reduction"))
-    amb = final_decades(
-        asymptotics.longtime_diagnostic(traj, profile, variant="ambient", ambient_N=N)
-    )
+    amb = final_decades(asymptotics.longtime_diagnostic(traj, profile, variant="ambient"))
     red_matches = red[-1] < _VERDICT_THRESHOLD and red[0] > red[1] > red[2]
     variants_differ = any(
         reduction[j].prefactor != ambient[j].prefactor for j in reduction
@@ -595,6 +603,8 @@ def _theorem_constants_checks(args) -> list:
 def cmd_verify(args) -> int:
     if args.suite == "theorem-constants":
         return _emit(_theorem_constants_checks(args))
+    if (args.N, args.m, args.p) != (None, None, None):
+        raise UsageError("--N, --m and --p apply only to verify theorem-constants")
     checks, chart, default = _SUITES[args.suite]
     raw = load_config(args.config) if args.config else default
     return _emit(checks(resolve_run({**raw, "chart": chart})))
@@ -628,7 +638,7 @@ def _sweep_cell(cell_id: str, raw: dict, run: dict, outdir: Path) -> dict:
             "n_samples": traj.n_samples,
         }
         if run["chart"] in ("t", "log-t"):
-            report["identities"] = harness.identity_suite(traj).summary()
+            report["identities"] = harness.identity_suite(traj)
         report_path = outdir / cell_id / "report.json"
         write_json(report, report_path)
         entry["csv"] = str(csv_path.relative_to(outdir))
@@ -698,14 +708,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=[*_SUITES, "theorem-constants"])
     p.add_argument("--config")
-    p.add_argument("--N", type=int, default=6, help="theorem-constants lattice")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--N", type=int, help="theorem-constants lattice; defaults to 6")
+    p.add_argument("--m", type=int, help="defaults to 1")
     p.add_argument("--p", type=int, help="defaults to N")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("constants", help="print the asymptotic-constant tables")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, help="defaults to 1")
     p.add_argument("--p", type=int, help="defaults to N")
     p.set_defaults(fn=cmd_constants)
 

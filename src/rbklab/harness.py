@@ -1,10 +1,11 @@
 """Independent oracles and identity suites.
 
-Everything here deliberately avoids the adaptive machinery it is used to
-validate: the reference integrator is classical fixed-step RK4, blowup points
-come from a fixed-step run in the log(phi_1) chart rather than from the
-adaptive log-psi run, and the identity checks compare trajectories against
-closed forms and finite differences only.
+This module imports nothing from the integrator it is used to validate, only
+the closed forms and fields of core: the reference integrator is classical
+fixed-step RK4, blowup points come from a fixed-step run in the log(phi_1)
+chart rather than from the adaptive log-psi run, and the identity checks
+compare a trajectory they are handed against closed forms and finite
+differences only.  Oracles return plain arrays and floats.
 
 Fixture protocol: every oracle-derived expected value used by the test suite
 is generated here (RK4 with h-halving Richardson extrapolation), stored in a
@@ -23,15 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import nu_odd_closed, phi_field, rbk_field, self_similar
-from .integrate import (
-    BlowupEstimate,
-    Trajectory,
-    integrate_rbk,
-)
 
 __all__ = [
     "DEFAULT_FIXTURES_PATH",
-    "IdentityReport",
     "SelfSimilarReport",
     "fixtures_path",
     "generate_fixtures",
@@ -51,20 +46,12 @@ DEFAULT_FIXTURES_PATH = Path(__file__).parent / "data" / "fixtures.json"
 # ---------------------------------------------------------------------------
 
 
-def rk4_reference(
-    field_fn,
-    x0,
-    h: float,
-    span,
-    *,
-    record_every: int = 1,
-) -> Trajectory:
-    """Classical fixed-step 4th-order integration of dx/dt = field_fn(t, x).
+def rk4_reference(field_fn, x0, h: float, span) -> np.ndarray:
+    """Final state of classical fixed-step 4th-order integration of
+    dx/dt = field_fn(t, x) over span.
 
     Deterministic: a fixed h reproduces results bitwise.  The final step is
-    clipped onto the span end.  record_every thins the stored samples (the
-    endpoint is always kept).  The trajectory is tagged as the "t" chart
-    whatever the abscissa is; callers read its states.
+    clipped onto the span end.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -80,9 +67,6 @@ def rk4_reference(
 
     z = x0
     t = t0
-    ts = [t]
-    zs = [z.copy()]
-    step = 0
     while t < t1:
         hs = min(h, t1 - t)
         k1 = rhs(t, z)
@@ -93,11 +77,7 @@ def rk4_reference(
         if not np.all(np.isfinite(z)):
             raise ValueError(f"non-finite state at t={t + hs:.6g}")
         t = t1 if hs >= t1 - t else t + hs
-        step += 1
-        if step % record_every == 0 or t >= t1:
-            ts.append(t)
-            zs.append(z.copy())
-    return Trajectory(chart="t", abscissae=np.asarray(ts), states=np.asarray(zs))
+    return z
 
 
 def richardson_extrapolate(values, order: int, ratio: float = 2.0):
@@ -122,14 +102,15 @@ def omega_reference(
     phi1_stop: float = 1e40,
     h: float = 0.02,
     halvings: int = 4,
-) -> BlowupEstimate:
+) -> tuple[float, float]:
     """Blowup point of the phi-chart by an independent route: fixed-step RK4
     in the chart u = log(phi_1), where the run never hits a singularity.
 
     With u as independent variable, dy/du = phi_1/phi_1' and
     dphi_j/du = phi_j' * phi_1/phi_1'; y(u) converges to omega and the
-    remaining tail at phi_1 = 1e40 is far below double precision.  The
-    uncertainty is the change contributed by the finest h-halving level.
+    remaining tail at phi_1 = 1e40 is far below double precision.  Returns
+    (omega, error_estimate), the error estimate being the change contributed
+    by the finest h-halving level.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if np.any(phi0 <= 0):
@@ -146,17 +127,12 @@ def omega_reference(
     z0 = np.concatenate([[0.0], phi0[1:]])
     finals = []
     for k in range(halvings + 1):
-        traj = rk4_reference(u_field, z0, h / 2**k, (u0, u1), record_every=10**9)
-        finals.append(traj.final_state[0])
+        finals.append(rk4_reference(u_field, z0, h / 2**k, (u0, u1))[0])
     omega = richardson_extrapolate(finals, order=4)
     reference = (
         richardson_extrapolate(finals[:-1], order=4) if len(finals) > 2 else finals[-1]
     )
-    return BlowupEstimate(
-        omega=float(omega),
-        uncertainty=abs(float(omega) - float(reference)),
-        method="richardson",
-    )
+    return float(omega), abs(float(omega) - float(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -164,59 +140,28 @@ def omega_reference(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Per-sample relative errors of the exact identities of a t-chart run:
-
-    (a) odd-subscript density vs its closed form 1/(nu_odd(0)^-1 + t),
-    (b) c_N vs c_N(0) * exp(-int nu),
-    (c) finite-difference d(nu)/dt vs -(nu^2 + sum c_j^2)/2 at interior
-        samples (central differences on the nonuniform grid; the FD error
-        scales with grid spacing squared).
-    """
-
-    nu_odd_err: np.ndarray
-    c_last_err: np.ndarray
-    dissipation_err: np.ndarray
-    tol_closed: float
-    tol_dissipation: float
-
-    @property
-    def nu_odd_ok(self) -> bool:
-        return bool(np.all(self.nu_odd_err <= self.tol_closed))
-
-    @property
-    def c_last_ok(self) -> bool:
-        return bool(np.all(self.c_last_err <= self.tol_closed))
-
-    @property
-    def dissipation_ok(self) -> bool:
-        return bool(np.all(self.dissipation_err <= self.tol_dissipation))
-
-    @property
-    def passed(self) -> bool:
-        return self.nu_odd_ok and self.c_last_ok and self.dissipation_ok
-
-    def summary(self) -> dict:
-        return {
-            "nu_odd": {"max_rel_err": float(np.max(self.nu_odd_err, initial=0.0)),
-                       "tol": self.tol_closed, "ok": self.nu_odd_ok},
-            "c_last": {"max_rel_err": float(np.max(self.c_last_err, initial=0.0)),
-                       "tol": self.tol_closed, "ok": self.c_last_ok},
-            "dissipation": {"max_rel_err": float(np.max(self.dissipation_err, initial=0.0)),
-                            "tol": self.tol_dissipation, "ok": self.dissipation_ok},
-            "passed": self.passed,
-        }
-
-
 def _rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
 
 
-def identity_suite(traj: Trajectory) -> IdentityReport:
+def _within(err: np.ndarray, tol: float) -> dict:
+    worst = float(np.max(err, initial=0.0))
+    return {"max_rel_err": worst, "tol": tol, "ok": worst <= tol}
+
+
+def identity_suite(traj) -> dict:
     """Check the bundled exact identities on a t-chart trajectory carrying a
-    nu accumulator.  The closed forms (a) and (b) are held to 100*rtol of the
-    run's settings, the dissipation identity (c) to 1e-4."""
+    nu accumulator, per sample:
+
+    (a) nu_odd: odd-subscript density vs its closed form 1/(nu_odd(0)^-1 + t),
+    (b) c_last: c_N vs c_N(0) * exp(-int nu),
+    (c) dissipation: finite-difference d(nu)/dt vs -(nu^2 + sum c_j^2)/2 at
+        interior samples (central differences on the nonuniform grid; the FD
+        error scales with grid spacing squared).
+
+    Returns {name: {"max_rel_err", "tol", "ok"}} for the three identities and
+    "passed", true when all three hold.  The closed forms (a) and (b) are held
+    to 100*rtol of the run's settings, the dissipation identity (c) to 1e-4."""
     if "nu_int" not in traj.aux:
         raise ValueError("trajectory lacks the nu accumulator required here")
     t = traj.abscissae
@@ -243,13 +188,14 @@ def identity_suite(traj: Trajectory) -> IdentityReport:
     else:
         err_c = np.zeros(0)
 
-    return IdentityReport(
-        nu_odd_err=err_a,
-        c_last_err=err_b,
-        dissipation_err=err_c,
-        tol_closed=100.0 * traj.settings.rtol,
-        tol_dissipation=1e-4,
-    )
+    tol_closed = 100.0 * traj.settings.rtol
+    report = {
+        "nu_odd": _within(err_a, tol_closed),
+        "c_last": _within(err_b, tol_closed),
+        "dissipation": _within(err_c, 1e-4),
+    }
+    report["passed"] = all(entry["ok"] for entry in report.values())
+    return report
 
 
 @dataclass(frozen=True)
@@ -261,21 +207,20 @@ class SelfSimilarReport:
     j_max: int
 
 
-def self_similar_residual(N: int, alpha: float, kappa: float, t_end: float) -> SelfSimilarReport:
-    """Integrate the N-truncated system from the truncated self-similar
-    profile, at the default settings and sampling of integrate_rbk, and report
-    the maximal relative deviation from the profile for j <= N//3 over
-    [0, t_end].
+def self_similar_residual(traj, alpha: float, kappa: float) -> SelfSimilarReport:
+    """Maximal relative deviation of a t-chart run of the N-truncated system,
+    started from the truncated self-similar profile
+    self_similar(alpha, kappa, 0, N), from that profile for j <= N//3 at
+    every sample, with N = traj.dim.
 
     Requires alpha^N < 1e-8 so truncation is genuinely negligible; the
     reported deviation is observational, not a proven bound.
     """
+    N = traj.dim
     if alpha**N >= 1e-8:
         raise ValueError(
             f"truncation guard violated: alpha^N = {alpha**N:.3g} >= 1e-8"
         )
-    c0 = self_similar(alpha, kappa, 0.0, N)
-    traj = integrate_rbk(c0, t_end)
     j_max = max(1, N // 3)
     profile = np.array(
         [self_similar(alpha, kappa, ti, N)[:j_max] for ti in traj.abscissae]
@@ -306,10 +251,7 @@ def _oracle_state_fixture(N: int, seed: int, t_end: float, h0: float, halvings: 
     h_sequence = [h0 / 2**k for k in range(halvings + 1)]
     finals = []
     for h in h_sequence:
-        traj = rk4_reference(
-            lambda t, x: rbk_field(x), c0, h, (0.0, t_end), record_every=10**9
-        )
-        finals.append(traj.final_state)
+        finals.append(rk4_reference(lambda t, x: rbk_field(x), c0, h, (0.0, t_end)))
     value = richardson_extrapolate(finals, order=4)
     err = float(np.max(np.abs(value - richardson_extrapolate(finals[:-1], order=4))))
     return {
@@ -330,12 +272,10 @@ def generate_fixtures(path: Path | None = None) -> dict:
     fixtures: dict = {}
 
     # bit-exact reproducibility anchor: fixed h, no extrapolation
-    traj = rk4_reference(
-        lambda t, x: rbk_field(x), [1.0, 1.0, 1.0], 1e-3, (0.0, 1.0), record_every=10**9
-    )
+    c_final = rk4_reference(lambda t, x: rbk_field(x), [1.0, 1.0, 1.0], 1e-3, (0.0, 1.0))
     fixtures["rk4_bitexact/N3_uniform_t1"] = {
         "inputs": {"N": 3, "c0": [1.0, 1.0, 1.0], "h": 1e-3, "t_end": 1.0},
-        "oracle": {"c_final": list(traj.final_state)},
+        "oracle": {"c_final": list(c_final)},
         "tolerance": 0.0,
     }
 
@@ -345,11 +285,11 @@ def generate_fixtures(path: Path | None = None) -> dict:
         )
 
     for N in (3, 4, 5, 8, 12, 16):
-        est = omega_reference(np.ones(N - 1))
+        omega, error_estimate = omega_reference(np.ones(N - 1))
         fixtures[f"omega/N{N}_ones"] = {
             "inputs": {"N": N, "phi0": [1.0] * (N - 1), "phi1_stop": 1e40},
             "h_sequence": [0.02 / 2**k for k in range(5)],
-            "oracle": {"omega": est.omega, "error_estimate": est.uncertainty},
+            "oracle": {"omega": omega, "error_estimate": error_estimate},
             "tolerance": 1e-6,
         }
 

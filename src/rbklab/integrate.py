@@ -164,21 +164,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class BlowupEstimate:
-    """Blowup point omega of the phi chart with the error bar of its method:
-    "log-psi-tail" (integrate_phi_to_blowup) or "richardson"
-    (harness.omega_reference)."""
+    """Blowup point omega of the phi chart with its error bar, as
+    integrate_phi_to_blowup finds them."""
 
     omega: float
     uncertainty: float
-    method: str = "log-psi-tail"
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not (np.isfinite(self.uncertainty) and self.uncertainty >= 0):
             raise ValueError("uncertainty must be finite and nonnegative")
-        if self.method not in ("log-psi-tail", "richardson"):
-            raise ValueError(f"unknown method tag {self.method!r}")
 
 
 def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
@@ -495,7 +491,7 @@ def integrate_adaptive(
         h_min=float(h_lo),
         h_max=float(h_hi),
     )
-    traj = Trajectory(
+    return Trajectory(
         chart=chart,
         abscissae=np.asarray(ts),
         states=zs_arr[:, :dim],
@@ -503,9 +499,6 @@ def integrate_adaptive(
         settings=settings,
         stats=stats,
     )
-    if stop_when is not None and not stopped and t < t_end:
-        raise IntegrationError("integration ended before the stop condition")
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +666,7 @@ def integrate_phi_to_blowup(
 
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     omega = float(y[-1]) + tail
-    return traj, BlowupEstimate(
-        omega=omega, uncertainty=settings.rtol * omega + tail, method="log-psi-tail"
-    )
+    return traj, BlowupEstimate(omega=omega, uncertainty=settings.rtol * omega + tail)
 
 
 def chart_map_t_to_phi(traj: Trajectory) -> Trajectory:

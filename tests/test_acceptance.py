@@ -20,6 +20,7 @@ from rbklab.core import (
     embed_reduced,
     gcd_reduce,
     nu_odd_closed,
+    self_similar,
     support_profile,
 )
 from rbklab.harness import self_similar_residual
@@ -218,7 +219,8 @@ def test_criterion_9_oracle_equivalence(oracle_fixtures):
 def test_criterion_10_self_similar_oracle():
     """N=40, alpha=0.5, kappa=1, t in [0,100]: for j <= 13 the run deviates
     from the truncated self-similar profile by less than 1e-6 relative."""
-    report = self_similar_residual(40, 0.5, 1.0, 100.0)
+    traj = integrate_rbk(self_similar(0.5, 1.0, 0.0, 40), 100.0)
+    report = self_similar_residual(traj, 0.5, 1.0)
     _report(
         "criterion 10 (self-similar truncated oracle)",
         report.j_max == 13 and report.max_rel_deviation < 1e-6,

@@ -199,7 +199,7 @@ def test_longtime_diagnostic_ambient_variant(logtime_n3):
     traj = logtime_n3
     profile = support_profile(traj.states[0])
     red = longtime_diagnostic(traj, profile, variant="reduction")
-    amb = longtime_diagnostic(traj, profile, variant="ambient", ambient_N=3)
+    amb = longtime_diagnostic(traj, profile, variant="ambient")
     for j in red:
         assert_allclose(red[j].residuals, amb[j].residuals, rtol=0)
 
@@ -211,7 +211,7 @@ def test_longtime_diagnostic_ambient_variant(logtime_n3):
 
 def test_ratio_divergence_real_run(blowup_n4):
     traj, _ = blowup_n4
-    trends = ratio_divergence(traj, threshold=10.0)
+    trends = ratio_divergence(traj)
     assert set(trends) == {1, 2, 3}
     for trend in trends.values():
         assert trend.increasing

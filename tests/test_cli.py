@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbklab import asymptotics, cli, harness
+from rbklab import asymptotics, cli, core, harness
 from rbklab.cli import (
     ConfigError,
     main,
@@ -194,12 +194,52 @@ def test_resolve_run_accepts_integral_floats():
     assert run["points_per_decade"] == 8
 
 
-@pytest.mark.parametrize("doc", [{"sampling": 5}, {"c0": {"uniform": 5}}, {"sampling": [64]}])
-def test_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc):
+_WRONG_SHAPE = [
+    ({"sampling": 5}, "must be a JSON object"),
+    ({"c0": {"uniform": 5}}, "must be a JSON object"),
+    ({"sampling": [64]}, "must be a JSON object"),
+    ({"c0": "ones"}, "c0 must be an array or a one-key family object"),
+    ({"c0": {"gaussian": {}}}, "unknown initial-condition family 'gaussian'"),
+    ({"c0": {"monodisperse": {"index": 4}}}, "monodisperse index 4 outside 1..3"),
+    ({"c0": {"random": {}}}, "random initial conditions require a seed"),
+    ({"c0": {"random": {"low": 1.0, "high": 0.5}}, "seed": 1}, "0 < low < high"),
+    ({"chart": "s"}, "unknown chart 's'"),
+    ({"c0": {"self_similar": {"alpha": 1.5}}}, "alpha must lie in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", _WRONG_SHAPE, ids=[f"doc{i}" for i in range(len(_WRONG_SHAPE))]
+)
+def test_config_of_the_wrong_shape_exits_3(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, N=3, **doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-    assert "must be a JSON object" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"N": 3, "t_end": 1e400}', "config holds the non-finite number 1e400"),
+        ("[3]", "config root must be a JSON object"),
+        (None, "cannot read config"),
+        ('{"t_end": 1.0}', "config requires an integer N"),
+    ],
+    ids=["overflowing-literal", "array-root", "missing-file", "missing-N"],
+)
+def test_unusable_config_document_exits_3(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_self_similar_family_is_the_core_profile():
+    run = resolve_run({"N": 7, "c0": {"self_similar": {"alpha": 0.3, "kappa": 2.0}}})
+    assert run["config"].c0.tobytes() == core.self_similar(0.3, 2.0, 0.0, 7).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -499,6 +539,16 @@ def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, mo
     monkeypatch.setenv("RBK_FIXTURES", str(garbled))
     assert main(["verify", "asymptotics"]) == 3
     assert "invalid config" in capsys.readouterr().err
+    # a readable file of the wrong shape is a rejected input too
+    entry = ('{"fixtures": {"omega/N4_ones": {"oracle": {"omega": %s, "error_estimate": 0}, '
+             '"tolerance": 1e-6}}}')
+    for name, text in [("list", "[]"), ("empty_entry", '{"fixtures": {"omega/N4_ones": {}}}'),
+                       ("string_omega", entry % '"0.75"'), ("zero_omega", entry % "0")]:
+        shaped = tmp_path / f"{name}.json"
+        shaped.write_text(text)
+        monkeypatch.setenv("RBK_FIXTURES", str(shaped))
+        assert main(["verify", "asymptotics"]) == 3, name
+        assert "invalid config: fixture" in capsys.readouterr().err
     # a readable file without the matching entry still just omits the row
     empty = tmp_path / "empty.json"
     empty.write_text('{"fixtures": {}}')
@@ -528,6 +578,19 @@ def test_verify_asymptotics_fails_when_the_bar_misses_the_fixture(tmp_path, caps
 
 def test_verify_unknown_suite_exits_1():
     assert main(["verify", "nonsense"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["support", "--N", "9", "--m", "3"], ["identities", "--m", "1"], ["asymptotics", "--p", "4"]],
+)
+def test_lattice_flags_outside_theorem_constants_exit_1(capsys, argv):
+    """--N, --m and --p set only the theorem-constants lattice; another suite
+    refuses them rather than run its default config."""
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "apply only to verify theorem-constants" in captured.err
 
 
 # ---------------------------------------------------------------------------

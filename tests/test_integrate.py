@@ -369,7 +369,6 @@ def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, n, cap, rtol):
     """|omega - oracle| <= uncertainty + the oracle's own error estimate."""
     oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
     _, estimate = integrate_phi_to_blowup(np.ones(n - 1), cap, IntegratorSettings(rtol=rtol))
-    assert estimate.method == "log-psi-tail"
     error = abs(estimate.omega - oracle["omega"])
     assert error <= estimate.uncertainty + oracle["error_estimate"]
     # the bar is rtol*omega plus a tail below eps*omega
@@ -540,7 +539,7 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     assert traj.stats == run.stats
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     omega = float(y[-1]) + tail
-    assert estimate == BlowupEstimate(omega, RTOL * omega + tail, "log-psi-tail")
+    assert estimate == BlowupEstimate(omega, RTOL * omega + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +624,10 @@ def test_trajectory_validation():
 
 
 def test_blowup_estimate_validation():
-    assert BlowupEstimate(1.0, 0.0).method == "log-psi-tail"
-    assert BlowupEstimate(1.0, 0.0, method="richardson").method == "richardson"
+    assert BlowupEstimate(1.0, 0.0) == BlowupEstimate(omega=1.0, uncertainty=0.0)
     with pytest.raises(ValueError):
         BlowupEstimate(-1.0, 0.0)
-    for retired in ("magic", "tauy-extrapolation"):
-        with pytest.raises(ValueError):
-            BlowupEstimate(1.0, 0.0, method=retired)
+    with pytest.raises(ValueError):
+        BlowupEstimate(1.0, -1.0)
+    with pytest.raises(TypeError):  # the method tag is gone
+        BlowupEstimate(1.0, 0.0, "log-psi-tail")
