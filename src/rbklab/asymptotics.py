@@ -8,6 +8,10 @@ across decades) plus a final-window threshold, since no decay rates are
 available.  Fits use unweighted least squares in log-log space, matching the
 multiplicative (1 + residual) error model, over the terminal two decades of
 the independent variable where the corrections are smallest.
+
+Each diagnostic reads N and the support lattice off the run it checks and
+takes only what the run cannot tell it (omega as a float, the prefactor
+convention); only core is imported, so no check shares the integrator's code.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ import numpy as np
 from .core import (
     AsymptoticLaw,
     ConvergenceDiagnostic,
-    SupportProfile,
     blowup_laws,
     checked_factorial,
     longtime_laws,
     longtime_laws_ambient,
+    support_profile,
 )
-from .integrate import BlowupEstimate, Trajectory
 
 __all__ = [
     "PSI_RESIDUAL_TOL",
@@ -96,23 +99,18 @@ class BlowupReport:
     window: tuple[float, float]  # y-range of the fit window
 
 
-def _omega_value(omega) -> float:
-    return omega.omega if isinstance(omega, BlowupEstimate) else float(omega)
-
-
-def blowup_diagnostic(traj: Trajectory, omega) -> BlowupReport:
+def blowup_diagnostic(traj, omega: float) -> BlowupReport:
     """Per-component residuals rho_j(y) = phi_j (omega - y)^alpha_j / A_j - 1
     and power-law fits of phi_j against (omega - y) over the terminal window
-    (top two decades of phi_1)."""
+    (top two decades of phi_1); omega is the blowup point as a number."""
     if traj.chart != "phi-y":
         raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
-    om = _omega_value(omega)
     y = traj.abscissae
-    if om <= y[-1]:
-        raise ValueError(f"omega={om} does not exceed the last sampled y={y[-1]}")
+    if omega <= y[-1]:
+        raise ValueError(f"omega={omega} does not exceed the last sampled y={y[-1]}")
     n = traj.dim + 1
     laws = blowup_laws(n)
-    gap = om - y
+    gap = omega - y
     phi1 = traj.states[:, 0]
     window = phi1 >= phi1[-1] / 100.0
     if window.sum() < 3:
@@ -135,7 +133,7 @@ def blowup_diagnostic(traj: Trajectory, omega) -> BlowupReport:
     )
 
 
-def psi_diagnostic(traj: Trajectory) -> dict[int, ConvergenceDiagnostic]:
+def psi_diagnostic(traj) -> dict[int, ConvergenceDiagnostic]:
     """Residuals of the polynomial laws of the twice-rescaled chart,
     rho^_j(tau) = psi_j(tau) (N-j)! / tau^(N-j) - 1, with psi_j(tau(y)) read
     off as phi_j(y).
@@ -161,14 +159,9 @@ def psi_diagnostic(traj: Trajectory) -> dict[int, ConvergenceDiagnostic]:
     return out
 
 
-def longtime_diagnostic(
-    traj: Trajectory,
-    profile: SupportProfile,
-    *,
-    variant: str = "reduction",
-) -> dict[int, ConvergenceDiagnostic]:
+def longtime_diagnostic(traj, *, variant: str = "reduction") -> dict[int, ConvergenceDiagnostic]:
     """Residuals e_j(t) = c_j t (log t)^(j/m - 1) / A~_j - 1 on the support
-    lattice of a long-time run; samples with t <= 1 are excluded.
+    lattice of the run's first sample; samples with t <= 1 are excluded.
 
     Off-lattice components must be exactly zero at every sample (the support
     lattice is invariant; anything else falsifies the run).  variant selects
@@ -177,6 +170,7 @@ def longtime_diagnostic(
     """
     if traj.chart not in ("t", "log-t"):
         raise ValueError(f"expected a time-chart trajectory, got {traj.chart!r}")
+    profile = support_profile(traj.states[0])
     m, p = profile.m, profile.p
     lattice = [j for j in range(m, p + 1, m)]
     off = [j for j in range(1, traj.dim + 1) if j not in lattice]
@@ -211,7 +205,7 @@ class RatioTrend:
     exceeds_threshold: bool
 
 
-def ratio_divergence(traj: Trajectory) -> dict[int, RatioTrend]:
+def ratio_divergence(traj) -> dict[int, RatioTrend]:
     """Ratio series phi_j/phi_{j+1} of a phi-chart run; near blowup every
     ratio diverges, so each series should be increasing over the final decade
     of phi_1 and end above _RATIO_THRESHOLD."""
@@ -236,24 +230,24 @@ def ratio_divergence(traj: Trajectory) -> dict[int, RatioTrend]:
     return out
 
 
-def omega_gap_diagnostic(traj: Trajectory, omega, N: int) -> ConvergenceDiagnostic:
+def omega_gap_diagnostic(traj, omega: float) -> ConvergenceDiagnostic:
     """Residual of the long-time gap law
-    omega - y(t) ~ (N-1)!/(N-2) * (log t)^(2-N) on a time-chart run carrying
-    the y accumulator; requires omega from a companion phi-chart run started
-    at phi(0) = c(0)/c_N(0).  Samples with t <= 1 are excluded."""
+    omega - y(t) ~ (N-1)!/(N-2) * (log t)^(2-N), N = traj.dim, on a time-chart
+    run carrying the y accumulator; omega is that of a companion phi-chart run
+    started at phi(0) = c(0)/c_N(0).  Samples with t <= 1 are excluded."""
     if traj.chart not in ("t", "log-t"):
         raise ValueError(f"expected a time-chart trajectory, got {traj.chart!r}")
     if "y" not in traj.aux:
         raise ValueError("trajectory lacks the y accumulator")
     if omega is None:
         raise ValueError("missing companion omega estimate")
-    if int(N) != N or N < 3:
+    N = traj.dim
+    if N < 3:
         raise ValueError(f"gap law needs N >= 3, got {N}")
-    om = _omega_value(omega)
     t = traj.abscissae
     mask = t > 1.0
     if mask.sum() < 2:
         raise ValueError("need samples beyond t = 1")
-    gap = om - traj.aux_series("y")[mask]
+    gap = omega - traj.aux_series("y")[mask]
     scale = checked_factorial(N - 1) / (N - 2) * np.log(t[mask]) ** (2.0 - N)
     return ConvergenceDiagnostic(abscissae=t[mask], residuals=gap / scale - 1.0)

@@ -76,7 +76,7 @@ _FAMILIES = {
 def _build_c0(entry, N: int, seed) -> np.ndarray:
     """Initial densities from an explicit array or a named family."""
     if isinstance(entry, (list, tuple)):
-        c0 = np.asarray(entry, dtype=float)
+        c0 = np.array([_finite(f"c0[{i}]", v) for i, v in enumerate(entry)])
         if c0.size != N:
             raise ConfigError(f"c0 has length {c0.size}, expected N={N}")
         return c0
@@ -230,7 +230,6 @@ def resolve_run(raw: dict) -> dict:
     verify_theorem = raw.get("verify_theorem", False)
     if not isinstance(verify_theorem, bool):
         raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
-    profile = None
     if verify_theorem:
         if chart == "phi":
             raise ConfigError("long-time law verification needs the t or log-t chart")
@@ -253,7 +252,7 @@ def resolve_run(raw: dict) -> dict:
         "phi0": phi0,
         "points_per_decade": points_per_decade,
         "decades": decades,
-        "theorem_profile": profile,  # None unless verify_theorem
+        "verify_theorem": verify_theorem,
     }
 
 
@@ -361,12 +360,12 @@ def _simulate_and_write(run: dict, csv_path) -> Trajectory:
     """Integrate a resolved run and write its CSV, plus the long-time residual
     report at *.report.json when the run verifies the theorem."""
     traj = _simulate_trajectory(run)
-    if run["theorem_profile"] is not None:
+    if run["verify_theorem"]:
         # diagnosed before anything is written: a failing diagnostic leaves no file
-        diags = asymptotics.longtime_diagnostic(traj, run["theorem_profile"])
+        diags = asymptotics.longtime_diagnostic(traj)
         report = {str(j): {"final_residual": d.final_residual} for j, d in diags.items()}
     write_trajectory_csv(traj, csv_path)
-    if run["theorem_profile"] is not None:
+    if run["verify_theorem"]:
         write_json(report, Path(csv_path).with_suffix(".report.json"))
     return traj
 
@@ -401,7 +400,7 @@ def cmd_blowup(args) -> int:
         psi = asymptotics.psi_diagnostic(traj)
         worst = max(abs(d.final_residual) for d in psi.values())
         report["flags"]["laws_unconverged"] = bool(worst >= asymptotics.PSI_RESIDUAL_TOL)
-        fit_report = asymptotics.blowup_diagnostic(traj, estimate)
+        fit_report = asymptotics.blowup_diagnostic(traj, estimate.omega)
         report["fitted_laws"] = {
             str(j): {
                 "exponent": f.exponent,
@@ -462,7 +461,7 @@ def _support_checks(run: dict) -> list:
 
 def _asymptotics_checks(run: dict) -> list:
     traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
-    rep = asymptotics.blowup_diagnostic(traj, estimate)
+    rep = asymptotics.blowup_diagnostic(traj, estimate.omega)
     exp_err = max(
         abs(rep.fitted[j].exponent / rep.theoretical[j].exponent - 1.0)
         for j in rep.fitted
@@ -564,7 +563,6 @@ def _theorem_constants_checks(args) -> list:
     run = resolve_run({"t_end": 1e8, **raw, "N": N, "c0": list(c0), "chart": "log-t",
                        "verify_theorem": True})
     traj = _simulate_trajectory(run)
-    profile = run["theorem_profile"]
 
     def final_decades(diags):
         # max |e_j| at t_end and one/two decades earlier
@@ -578,8 +576,8 @@ def _theorem_constants_checks(args) -> list:
             out.append(max(vals))
         return out
 
-    red = final_decades(asymptotics.longtime_diagnostic(traj, profile, variant="reduction"))
-    amb = final_decades(asymptotics.longtime_diagnostic(traj, profile, variant="ambient"))
+    red = final_decades(asymptotics.longtime_diagnostic(traj, variant="reduction"))
+    amb = final_decades(asymptotics.longtime_diagnostic(traj, variant="ambient"))
     red_matches = red[-1] < _VERDICT_THRESHOLD and red[0] > red[1] > red[2]
     variants_differ = any(
         reduction[j].prefactor != ambient[j].prefactor for j in reduction
@@ -650,7 +648,7 @@ def _sweep_cell(cell_id: str, raw: dict, run: dict, outdir: Path) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    raw = load_config(args.config)
+    raw = _known("sweep config", load_config(args.config), ("base", "grid"))
     base = raw.get("base")
     grid = raw.get("grid")
     if not isinstance(base, dict) or not isinstance(grid, dict) or not grid:

@@ -195,9 +195,9 @@ def _log_time_grid(t_end: float, points_per_decade: int) -> np.ndarray:
 
 
 def grid_times(chart: str, t_end: float, points_per_decade: int, decades: float = 6.0):
-    """The t of every grid sample after the start that a "t" or "log-t" run
-    to t_end with points_per_decade > 0 takes (see integrate_rbk and
-    integrate_logtime)."""
+    """The t of every grid sample that a "t" or "log-t" run to t_end with
+    points_per_decade > 0 takes (see integrate_rbk and integrate_logtime);
+    the log-t grid starts at t = 0, the start, and the t grid after it."""
     if chart == "log-t":
         return np.expm1(_log_time_grid(t_end, points_per_decade))
     return geometric_grid(t_end * 10.0 ** (-decades), t_end, points_per_decade)

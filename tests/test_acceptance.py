@@ -21,7 +21,6 @@ from rbklab.core import (
     gcd_reduce,
     nu_odd_closed,
     self_similar,
-    support_profile,
 )
 from rbklab.harness import self_similar_residual
 from rbklab.integrate import (
@@ -88,7 +87,7 @@ def test_criterion_4_blowup_exponents(blowup_n4):
     (3/2, 1, 1/2), prefactors within 20%, residuals shrinking over the final
     two decades."""
     traj, estimate = blowup_n4
-    rep = blowup_diagnostic(traj, estimate)
+    rep = blowup_diagnostic(traj, estimate.omega)
     exp_err = max(
         abs(rep.fitted[j].exponent / rep.theoretical[j].exponent - 1.0)
         for j in rep.fitted
@@ -151,8 +150,7 @@ def test_criterion_7_longtime_trend_suite(logtime_n3):
     decreasing across t in {1e4, 1e6, 1e8}; the t (log t)^2 c_3 / 2 ratio
     strictly approaches 1 and lands within 35% at 1e8."""
     traj = logtime_n3
-    profile = support_profile(traj.states[0])
-    diags = longtime_diagnostic(traj, profile)
+    diags = longtime_diagnostic(traj)
 
     def at(diag, target):
         i = int(np.argmin(np.abs(diag.abscissae - target)))

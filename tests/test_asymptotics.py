@@ -16,7 +16,7 @@ from rbklab.asymptotics import (
     psi_diagnostic,
     ratio_divergence,
 )
-from rbklab.core import blowup_laws, support_profile
+from rbklab.core import blowup_laws
 from rbklab.integrate import Trajectory, integrate_phi_to_blowup
 
 
@@ -98,7 +98,7 @@ def test_blowup_diagnostic_rejects_low_omega():
 
 def test_blowup_diagnostic_real_run(blowup_n4):
     traj, estimate = blowup_n4
-    rep = blowup_diagnostic(traj, estimate)
+    rep = blowup_diagnostic(traj, estimate.omega)
     for j in rep.fitted:
         assert abs(rep.fitted[j].exponent / rep.theoretical[j].exponent - 1) < 0.05
         assert abs(rep.fitted[j].prefactor / rep.theoretical[j].prefactor - 1) < 0.20
@@ -161,8 +161,7 @@ def test_psi_residuals_decay_on_real_run(blowup_n4):
 
 def test_longtime_diagnostic_real_run(logtime_n3):
     traj = logtime_n3
-    profile = support_profile(traj.states[0])
-    diags = longtime_diagnostic(traj, profile)
+    diags = longtime_diagnostic(traj)
     e1 = diags[1]
     t = e1.abscissae
 
@@ -174,11 +173,12 @@ def test_longtime_diagnostic_real_run(logtime_n3):
 
 
 def test_longtime_diagnostic_lattice_mismatch():
-    states = np.array([[0.1, 1.0, 0.0, 1.0], [0.1, 0.5, 0.0, 0.5]])
+    """The first row lies on the m = 2 lattice; a later row that leaves it
+    falsifies the run."""
+    states = np.array([[0.0, 1.0, 0.0, 1.0], [0.1, 0.5, 0.0, 0.5]])
     traj = Trajectory("log-t", [2.0, 4.0], states)
-    profile = support_profile([0.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="lattice mismatch"):
-        longtime_diagnostic(traj, profile)
+        longtime_diagnostic(traj)
 
 
 def test_longtime_diagnostic_synthetic_exact():
@@ -189,7 +189,7 @@ def test_longtime_diagnostic_synthetic_exact():
         [prefs[j] / (t * np.log(t) ** (j - 1)) for j in (1, 2, 3)]
     )
     traj = Trajectory("log-t", t, states)
-    diags = longtime_diagnostic(traj, support_profile(states[0]))
+    diags = longtime_diagnostic(traj)
     for diag in diags.values():
         assert np.max(np.abs(diag.residuals)) < 1e-12
 
@@ -197,9 +197,8 @@ def test_longtime_diagnostic_synthetic_exact():
 def test_longtime_diagnostic_ambient_variant(logtime_n3):
     """The ambient-N prefactors coincide with the reduction ones at m=1, p=N."""
     traj = logtime_n3
-    profile = support_profile(traj.states[0])
-    red = longtime_diagnostic(traj, profile, variant="reduction")
-    amb = longtime_diagnostic(traj, profile, variant="ambient")
+    red = longtime_diagnostic(traj, variant="reduction")
+    amb = longtime_diagnostic(traj, variant="ambient")
     for j in red:
         assert_allclose(red[j].residuals, amb[j].residuals, rtol=0)
 
@@ -248,7 +247,7 @@ def test_omega_gap_synthetic_exact():
     good = t > 1.0
     states = np.ones((t.size, n))
     traj = Trajectory("log-t", t, states, aux={"y": np.maximum.accumulate(y)})
-    diag = omega_gap_diagnostic(traj, omega, n)
+    diag = omega_gap_diagnostic(traj, omega)
     assert np.all(diag.abscissae > 1.0)
     assert np.max(np.abs(diag.residuals[-good.sum():])) < 1e-12
 
@@ -256,7 +255,7 @@ def test_omega_gap_synthetic_exact():
 def test_omega_gap_real_trend(logtime_n3, oracle_fixtures):
     traj = logtime_n3
     omega = oracle_fixtures["omega/N3_ones"]["oracle"]["omega"]
-    diag = omega_gap_diagnostic(traj, omega, 3)
+    diag = omega_gap_diagnostic(traj, omega)
 
     def at(target):
         return abs(diag.residuals[int(np.argmin(np.abs(diag.abscissae - target)))])
@@ -266,10 +265,17 @@ def test_omega_gap_real_trend(logtime_n3, oracle_fixtures):
 
 def test_omega_gap_requires_companion_omega(logtime_n3):
     with pytest.raises(ValueError, match="omega"):
-        omega_gap_diagnostic(logtime_n3, None, 3)
+        omega_gap_diagnostic(logtime_n3, None)
 
 
 def test_omega_gap_requires_y_accumulator():
     traj = Trajectory("log-t", [2.0, 3.0], [[1.0], [0.5]])
     with pytest.raises(ValueError, match="y accumulator"):
-        omega_gap_diagnostic(traj, 1.5, 3)
+        omega_gap_diagnostic(traj, 1.5)
+
+
+def test_omega_gap_reads_N_from_the_run():
+    """The gap law needs N >= 3, and N is the run's own dimension."""
+    traj = Trajectory("log-t", [2.0, 3.0], [[1.0, 1.0], [0.5, 0.5]], aux={"y": [0.1, 0.2]})
+    with pytest.raises(ValueError, match="gap law needs N >= 3, got 2"):
+        omega_gap_diagnostic(traj, 1.5)

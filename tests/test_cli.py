@@ -180,6 +180,9 @@ def test_resolve_run_rejects_non_finite_numbers(doc):
         {"rtol": "1e-9"},
         {"c0": {"uniform": {"value": [1.0]}}},
         {"c0": {"random": {"low": None}}, "seed": 1},
+        {"N": 2, "c0": [1, 10**400]},  # an integer beyond double range
+        {"N": 2, "c0": [True, 1]},
+        {"N": 2, "c0": ["1.5", 1]},
     ],
 )
 def test_resolve_run_rejects_values_of_the_wrong_type(doc):
@@ -451,7 +454,7 @@ def test_blowup_value_error_after_the_inputs_passed_exits_2(tmp_path, capsys, mo
     """Only input validation exits 3: a ValueError raised once the run has
     started is a numerical failure, and the command writes nothing."""
 
-    def broken(traj, estimate):
+    def broken(traj, omega):
         raise ValueError("diagnostic failed")
 
     monkeypatch.setattr(asymptotics, "blowup_diagnostic", broken)
@@ -677,14 +680,16 @@ def test_sweep_empty_grid_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "base, grid",
+    "base, grid, root",
     [
-        ({"c0": {"uniform": {}}, "t_ned": 2.0}, {"N": [3]}),
-        ({"c0": {"uniform": {}}, "t_end": 2.0}, {"N": [3], "rtl": [1e-8]}),
+        ({"c0": {"uniform": {}}, "t_ned": 2.0}, {"N": [3]}, {}),
+        ({"c0": {"uniform": {}}, "t_end": 2.0}, {"N": [3], "rtl": [1e-8]}, {}),
+        ({"c0": {"uniform": {}}, "t_end": 2.0}, {"N": [3]}, {"bsae": {}}),
     ],
+    ids=["base0-grid0", "base1-grid1", "root"],
 )
-def test_sweep_unknown_key_exits_3_before_running(tmp_path, capsys, base, grid):
-    cfg = write_config(tmp_path, base=base, grid=grid)
+def test_sweep_unknown_key_exits_3_before_running(tmp_path, capsys, base, grid, root):
+    cfg = write_config(tmp_path, base=base, grid=grid, **root)
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
     assert "unknown" in capsys.readouterr().err

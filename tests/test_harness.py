@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbklab import harness
+from rbklab import asymptotics, harness, integrate
 from rbklab.core import rbk_field, self_similar
 from rbklab.harness import (
     DEFAULT_FIXTURES_PATH,
@@ -29,10 +29,12 @@ from rbklab.integrate import Trajectory, integrate_rbk
 # ---------------------------------------------------------------------------
 
 
-def test_harness_imports_core_only():
-    """The oracles stay independent of the integrator they check: the only
-    rbklab module harness imports is core."""
-    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", [integrate, asymptotics, harness],
+                         ids=lambda m: m.__name__.removeprefix("rbklab."))
+def test_module_imports_core_only(module):
+    """integrate imports no rbklab module but core, and neither do the
+    diagnostics and oracles that check it, so they share none of its code."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rbklab")):
