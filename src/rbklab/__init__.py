@@ -7,7 +7,6 @@ from .core import (
     AsymptoticLaw,
     ConvergenceDiagnostic,
     SupportProfile,
-    SystemConfig,
     blowup_laws,
     embed_reduced,
     gcd_reduce,

@@ -145,7 +145,7 @@ def psi_diagnostic(traj) -> dict[int, ConvergenceDiagnostic]:
         raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
     if "tau" not in traj.aux:
         raise ValueError("trajectory lacks the tau accumulator")
-    tau = traj.aux_series("tau")
+    tau = traj.aux["tau"]
     mask = tau > 0
     if mask.sum() < 2:
         raise ValueError("need at least 2 samples with tau > 0")
@@ -248,6 +248,6 @@ def omega_gap_diagnostic(traj, omega: float) -> ConvergenceDiagnostic:
     mask = t > 1.0
     if mask.sum() < 2:
         raise ValueError("need samples beyond t = 1")
-    gap = omega - traj.aux_series("y")[mask]
+    gap = omega - traj.aux["y"][mask]
     scale = checked_factorial(N - 1) / (N - 2) * np.log(t[mask]) ** (2.0 - N)
     return ConvergenceDiagnostic(abscissae=t[mask], residuals=gap / scale - 1.0)

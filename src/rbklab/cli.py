@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -23,7 +24,6 @@ import numpy as np
 from . import asymptotics, core, harness
 from .core import (
     MAX_LAW_DIMENSION,
-    SystemConfig,
     blowup_laws,
     embed_reduced,
     longtime_laws,
@@ -137,13 +137,15 @@ def load_config(path) -> dict:
 
 
 def _finite(name: str, value) -> float:
-    """A finite JSON number as a float; true, "1e-9" and NaN are refused."""
+    """A finite JSON number as a float; true, "1e-9" and NaN are refused.
+    The rejected value is echoed through reprlib.repr, which abbreviates a
+    long one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {reprlib.repr(value)}")
     try:
         value = float(value)
     except OverflowError as exc:  # an integer beyond double range
-        raise ConfigError(f"{name} must be finite, got {value}") from exc
+        raise ConfigError(f"{name} must be finite, got {reprlib.repr(value)}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value
@@ -155,7 +157,7 @@ def _integer(name: str, value) -> int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
 
 
 def _object(name: str, value) -> dict:
@@ -163,7 +165,7 @@ def _object(name: str, value) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{name} must be a JSON object, got {reprlib.repr(value)}")
     return value
 
 
@@ -184,9 +186,14 @@ def resolve_run(raw: dict) -> dict:
     if "N" not in raw:
         raise ConfigError("config requires an integer N")
     N = _integer("N", raw["N"])
+    if N < 1:
+        raise ConfigError(f"N must be a positive integer, got {N}")
     try:
         c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
-        config = SystemConfig(N=N, c0=c0)
+        if not np.isfinite(c0).all():  # a self_similar kappa near 0 overflows
+            raise ConfigError("c0 has non-finite components")
+        if (c0 < 0).any():
+            raise ConfigError("initial densities must be nonnegative")
         settings = IntegratorSettings(
             rtol=_finite("rtol", raw.get("rtol", 1e-9)),
             atol=_finite("atol", raw.get("atol", 1e-12)),
@@ -244,7 +251,7 @@ def resolve_run(raw: dict) -> dict:
                 f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
             )
     return {
-        "config": config,
+        "c0": c0,
         "settings": settings,
         "chart": chart,
         "t_end": t_end,
@@ -337,10 +344,10 @@ def _law_table(laws) -> dict:
 
 
 def _simulate_trajectory(run: dict) -> Trajectory:
-    config, settings = run["config"], run["settings"]
+    settings = run["settings"]
     if run["chart"] == "t":
         return integrate_rbk(
-            config.c0,
+            run["c0"],
             run["t_end"],
             settings,
             points_per_decade=run["points_per_decade"],
@@ -348,7 +355,7 @@ def _simulate_trajectory(run: dict) -> Trajectory:
         )
     if run["chart"] == "log-t":
         return integrate_logtime(
-            config.c0,
+            run["c0"],
             run["t_end"],
             settings,
             points_per_decade=run["points_per_decade"],
@@ -384,7 +391,7 @@ def cmd_blowup(args) -> int:
     if args.cap is not None:
         raw["cap"] = args.cap
     run = resolve_run(raw)
-    N = run["config"].N
+    N = run["c0"].size
     traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
     report = {
         "N": N,
@@ -437,18 +444,19 @@ def _identity_checks(run: dict) -> list:
 
 
 def _support_checks(run: dict) -> list:
-    config = run["config"]
+    c0 = run["c0"]
+    N = c0.size
     try:
-        reduced, profile = core.gcd_reduce(config)
+        reduced, profile = core.gcd_reduce(c0)
     except ValueError as exc:  # an all-zero c0 has no support to check
         raise ConfigError(str(exc)) from exc
     traj = _simulate_trajectory(run)
     lattice = set(range(profile.m, profile.p + 1, profile.m))
-    off = [j - 1 for j in range(1, config.N + 1) if j not in lattice]
+    off = [j - 1 for j in range(1, N + 1) if j not in lattice]
     off_zero = bool(np.all(traj.states[:, off] == 0.0)) if off else True
-    round_trip = embed_reduced(reduced.c0, profile.m, config.N)
-    rt_exact = bool(np.all(round_trip == config.c0))
-    emb = embed_reduced(core.rbk_field(reduced.c0), profile.m, config.N)
+    round_trip = embed_reduced(reduced, profile.m, N)
+    rt_exact = bool(np.all(round_trip == c0))
+    emb = embed_reduced(core.rbk_field(reduced), profile.m, N)
     commute_err = float(np.max(np.abs(core.rbk_field(round_trip) - emb)))
     return [
         ("off-lattice components bitwise zero", off_zero,
@@ -490,7 +498,7 @@ def _asymptotics_checks(run: dict) -> list:
             fixtures = harness.load_fixtures()
         except (OSError, ValueError) as exc:  # unreadable or not JSON: must not drop the rows
             raise ConfigError(f"cannot read the fixture file: {exc}") from exc
-        key = f"omega/N{run['config'].N}_ones"
+        key = f"omega/N{run['c0'].size}_ones"
         entries = _object("fixture file", fixtures).get("fixtures")
         fx = _object("fixture file: fixtures", entries).get(key)
         if fx is not None:
@@ -652,11 +660,11 @@ def cmd_sweep(args) -> int:
     base = raw.get("base")
     grid = raw.get("grid")
     if not isinstance(base, dict) or not isinstance(grid, dict) or not grid:
-        raise UsageError("sweep config requires non-empty 'base' and 'grid' objects")
+        raise ConfigError("sweep config requires a 'base' object and a non-empty 'grid' object")
     keys = sorted(grid)
     values = [grid[k] for k in keys]
     if any(not isinstance(v, list) or not v for v in values):
-        raise UsageError("every grid entry must be a non-empty list")
+        raise ConfigError("every grid entry must be a non-empty list")
 
     # every cell is resolved before anything is written: a bad key or value
     # in any cell exits 3 and leaves no output directory

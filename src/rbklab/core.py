@@ -25,7 +25,6 @@ __all__ = [
     "AsymptoticLaw",
     "ConvergenceDiagnostic",
     "SupportProfile",
-    "SystemConfig",
     "blowup_laws",
     "checked_factorial",
     "embed_reduced",
@@ -71,51 +70,13 @@ def _as_vector(c, name: str = "c") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """Cluster-size cap N and the initial density vector (c_1, ..., c_N).
-
-    N = 1 is admitted so that the support reduction can return single-cluster
-    configurations; the asymptotic-law machinery imposes its own stricter
-    dimension requirements.
-    """
-
-    N: int
-    c0: np.ndarray
-
-    def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        c0 = _as_vector(self.c0, "c0").copy()
-        if c0.size != self.N:
-            raise ValueError(f"c0 has length {c0.size}, expected N={self.N}")
-        if np.any(c0 < 0):
-            raise ValueError("initial densities must be nonnegative")
-        c0.setflags(write=False)
-        object.__setattr__(self, "c0", c0)
-
-
-@dataclass(frozen=True)
 class SupportProfile:
-    """Positive-support subscripts P, their gcd m, their sup p, and the
-    effective dimension p/m of the reduced system."""
+    """The gcd m and the sup p of the positive-support subscripts
+    P = {j : c_j > 0}, and the effective dimension p/m of the reduced system."""
 
-    P: frozenset[int]
     m: int
     p: int
     n_eff: int
-
-    def __post_init__(self):
-        if not self.P:
-            raise ValueError("empty support")
-        if any(j < 1 for j in self.P):
-            raise ValueError("support subscripts must be >= 1")
-        if any(j % self.m for j in self.P):
-            raise ValueError(f"m={self.m} does not divide every element of P")
-        if self.p not in self.P or self.p != max(self.P):
-            raise ValueError(f"p={self.p} is not the maximum of P")
-        if self.n_eff * self.m != self.p:
-            raise ValueError(f"n_eff={self.n_eff} inconsistent with p/m={self.p}/{self.m}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +85,6 @@ class AsymptoticLaw:
 
     exponent: float
     prefactor: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.prefactor) and self.prefactor > 0):
-            raise ValueError(f"prefactor must be positive, got {self.prefactor}")
-        if not np.isfinite(self.exponent):
-            raise ValueError("exponent must be finite")
 
 
 @dataclass(frozen=True)
@@ -240,22 +195,22 @@ def support_profile(c) -> SupportProfile:
     subscripts = np.nonzero(c > 0)[0] + 1
     if subscripts.size == 0:
         raise ValueError("empty support")
-    support = frozenset(int(j) for j in subscripts)
-    m = reduce(math.gcd, support)
-    p = max(support)
-    return SupportProfile(P=support, m=m, p=p, n_eff=p // m)
+    m = reduce(math.gcd, subscripts.tolist())
+    p = int(subscripts[-1])
+    return SupportProfile(m=m, p=p, n_eff=p // m)
 
 
-def gcd_reduce(config: SystemConfig) -> tuple[SystemConfig, SupportProfile]:
-    """Reduce a lattice-supported configuration to effective dimension p/m.
+def gcd_reduce(c0) -> tuple[np.ndarray, SupportProfile]:
+    """Reduce a lattice-supported density vector to effective dimension p/m.
 
     With m = gcd(P) and p = sup P, the densities on the lattice,
     c~_j := c_{jm} for j = 1..p/m, satisfy the same ODE with N replaced by
-    p/m; off-lattice components vanish identically.
+    p/m; off-lattice components vanish identically.  Returns c~ and the
+    support profile.
     """
-    profile = support_profile(config.c0)
-    reduced = config.c0[profile.m - 1 :: profile.m][: profile.n_eff]
-    return SystemConfig(N=profile.n_eff, c0=reduced), profile
+    profile = support_profile(c0)
+    c0 = np.asarray(c0, dtype=float)
+    return c0[profile.m - 1 : profile.p : profile.m].copy(), profile
 
 
 def embed_reduced(c_reduced, m: int, N: int) -> np.ndarray:

@@ -171,7 +171,7 @@ def identity_suite(traj) -> dict:
     closed = np.array([nu_odd_closed(nu_odd[0], ti) for ti in t])
     err_a = _rel_err(nu_odd, closed)
 
-    predicted = c[0, -1] * np.exp(-traj.aux_series("nu_int"))
+    predicted = c[0, -1] * np.exp(-traj.aux["nu_int"])
     err_b = _rel_err(c[:, -1], predicted)
 
     nu = c.sum(axis=1)

@@ -120,7 +120,7 @@ class Trajectory:
         s = np.asarray(self.states, dtype=float)
         if x.ndim != 1 or s.ndim != 2 or s.shape[0] != x.size:
             raise ValueError("need matching 1-D abscissae and (n, dim) states")
-        if np.any(np.diff(x) <= 0):
+        if not (np.diff(x) > 0).all():  # NaN fails it too
             raise ValueError("abscissae must be strictly increasing")
         x = x.copy()
         s = s.copy()
@@ -132,7 +132,7 @@ class Trajectory:
             a = np.asarray(series, dtype=float).copy()
             if a.shape != x.shape:
                 raise ValueError(f"aux series {name!r} length mismatch")
-            if np.any(np.diff(a) < -slack):
+            if not (np.diff(a) >= -slack).all():
                 raise ValueError(f"aux accumulator {name!r} must be nondecreasing")
             a.setflags(write=False)
             aux[name] = a
@@ -156,11 +156,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def aux_series(self, name: str) -> np.ndarray:
-        if name not in self.aux:
-            raise KeyError(f"trajectory has no {name!r} accumulator")
-        return self.aux[name]
-
 
 @dataclass(frozen=True)
 class BlowupEstimate:
@@ -169,12 +164,6 @@ class BlowupEstimate:
 
     omega: float
     uncertainty: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
-        if not (np.isfinite(self.uncertainty) and self.uncertainty >= 0):
-            raise ValueError("uncertainty must be finite and nonnegative")
 
 
 def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
@@ -643,7 +632,7 @@ def integrate_phi_to_blowup(
             f"cap not reached, or the tail bound not below eps*y: {exc}"
         ) from exc
 
-    y = run.aux_series("y")
+    y = run.aux["y"]
     tau = np.expm1(run.abscissae)
     phi = np.column_stack([np.exp(run.states), tau + last0])
     phi[0] = phi0
@@ -675,14 +664,14 @@ def chart_map_t_to_phi(traj: Trajectory) -> Trajectory:
     breakdown); the tau accumulator carries over since tau = int c_1 dt."""
     if traj.chart not in ("t", "log-t"):
         raise ValueError(f"expected a t-chart trajectory, got {traj.chart!r}")
-    y = traj.aux_series("y")
+    y = traj.aux["y"]
     c_last = traj.states[:, -1]
     if np.any(c_last <= 0):
         raise ValueError("chart breakdown: c_N = 0 on the trajectory")
     phi = traj.states[:, :-1] / c_last[:, None]
     aux = {}
     if "tau" in traj.aux:
-        aux["tau"] = traj.aux_series("tau")
+        aux["tau"] = traj.aux["tau"]
     return Trajectory(
         chart="phi-y",
         abscissae=y,

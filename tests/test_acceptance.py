@@ -16,7 +16,6 @@ from rbklab.asymptotics import (
 )
 from rbklab.cli import main
 from rbklab.core import (
-    SystemConfig,
     embed_reduced,
     gcd_reduce,
     nu_odd_closed,
@@ -72,8 +71,8 @@ def test_criterion_3_support_lattice_invariance():
     c0 = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     traj = integrate_rbk(c0, 100.0)
     odd_zero = bool(np.all(traj.states[:, 0::2] == 0.0))
-    reduced, profile = gcd_reduce(SystemConfig(6, c0))
-    back = embed_reduced(reduced.c0, profile.m, 6)
+    reduced, profile = gcd_reduce(c0)
+    back = embed_reduced(reduced, profile.m, 6)
     round_trip = bool(np.all(back == c0))
     _report(
         "criterion 3 (support-lattice invariance)",

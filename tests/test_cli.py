@@ -70,6 +70,44 @@ def test_simulate_negative_c0_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"N": 0}, "N must be a positive integer, got 0"),
+        ({"N": -1}, "N must be a positive integer, got -1"),
+        ({"N": 2, "c0": [-1, 1]}, "initial densities must be nonnegative"),
+        ({"N": 3, "c0": [1, 2]}, "c0 has length 2, expected N=3"),
+        ({"N": 2, "c0": [True, 1]}, "c0[0] must be a number, got True"),
+        pytest.param({"N": 3, "c0": {"self_similar": {"kappa": 1e-320}}},
+                     "c0 has non-finite components",
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+    ],
+    ids=["N-zero", "N-negative", "negative-entry", "length", "bool-entry",
+         "self-similar-overflow"],
+)
+def test_initial_data_rules_exit_3_before_writing(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, **doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"N": 2, "c0": [1, 10**400]}, "c0[1] must be finite, got 1000"),
+        ({"N": "3" * 400}, "N must be an integer, got '333"),
+        ({"N": 3, "sampling": [0] * 400}, "sampling must be a JSON object, got [0, 0"),
+    ],
+    ids=["finite", "integer", "object"],
+)
+def test_rejected_value_is_echoed_abbreviated(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, **doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 100
+
+
 def test_simulate_single_component_theorem_request_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, N=1, c0=[1.0], verify_theorem=True)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
@@ -192,7 +230,7 @@ def test_resolve_run_rejects_values_of_the_wrong_type(doc):
 
 def test_resolve_run_accepts_integral_floats():
     run = resolve_run({"N": 3.0, "max_steps": 1e3, "sampling": {"points_per_decade": 8.0}})
-    assert run["config"].N == 3 and isinstance(run["config"].N, int)
+    assert run["c0"].size == 3
     assert run["settings"].max_steps == 1000
     assert run["points_per_decade"] == 8
 
@@ -242,7 +280,7 @@ def test_unusable_config_document_exits_3(tmp_path, capsys, text, message):
 
 def test_self_similar_family_is_the_core_profile():
     run = resolve_run({"N": 7, "c0": {"self_similar": {"alpha": 0.3, "kappa": 2.0}}})
-    assert run["config"].c0.tobytes() == core.self_similar(0.3, 2.0, 0.0, 7).tobytes()
+    assert run["c0"].tobytes() == core.self_similar(0.3, 2.0, 0.0, 7).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -415,6 +453,18 @@ def test_blowup_cap_crossed_in_one_step_reports_no_fits(tmp_path):
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert report["flags"] == {"laws_unconverged": True}
     assert report["fitted_laws"] is None and report["omega"] > data[-1, 0]
+
+
+def test_blowup_n16_omega_within_its_bar_of_the_packaged_oracle(tmp_path, oracle_fixtures):
+    """At N = 16 and cap 1e10 omega's error bar covers its distance to the
+    packaged oracle, while the laws are flagged as not yet converged."""
+    cfg = write_config(tmp_path, N=16)
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out), "--cap", "1e10"]) == 0
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    reference = oracle_fixtures["omega/N16_ones"]["oracle"]["omega"]
+    assert abs(report["omega"] - reference) <= report["uncertainty"]
+    assert report["flags"] == {"laws_unconverged": True}
 
 
 def test_blowup_flags_unconverged_laws_at_large_n(tmp_path):
@@ -674,9 +724,31 @@ def test_sweep_cell_matches_single_run_bitwise(tmp_path):
     assert cell_report.read_bytes() == single_out.with_suffix(".report.json").read_bytes()
 
 
-def test_sweep_empty_grid_exits_1(tmp_path):
-    cfg = write_config(tmp_path, base={"c0": {"uniform": {}}}, grid={})
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+def test_sweep_logtime_runs_a_t_end_below_one(tmp_path):
+    cfg = write_config(tmp_path, base={"chart": "log-t", "t_end": 0.5}, grid={"N": [3]})
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [cell["status"] for cell in manifest["cells"]] == ["ok"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"base": 5, "grid": {"N": [3]}}, "a 'base' object and a non-empty 'grid' object"),
+        ({"base": {"c0": {"uniform": {}}}, "grid": {}},
+         "a 'base' object and a non-empty 'grid' object"),
+        ({"grid": {"N": 3}}, "a 'base' object and a non-empty 'grid' object"),
+        ({"base": {}, "grid": {"N": 3}}, "every grid entry must be a non-empty list"),
+    ],
+    ids=["base-not-object", "empty-grid", "no-base", "entry-not-list"],
+)
+def test_sweep_root_of_the_wrong_shape_exits_3(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, **doc)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 3
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ def test_monodisperse_closed_form():
 def test_zero_initial_data_constant():
     traj = integrate_rbk(np.zeros(4), 5.0)
     assert np.all(traj.states == 0.0)
-    assert np.all(traj.aux_series("y") == 0.0)
+    assert np.all(traj.aux["y"] == 0.0)
 
 
 def test_odd_density_closed_form_n5():
@@ -100,7 +100,7 @@ def test_cn_integrating_factor_identity():
     rng = np.random.default_rng(17)
     c0 = rng.uniform(0.1, 1.0, 4)
     traj = integrate_rbk(c0, 50.0)
-    predicted = c0[-1] * np.exp(-traj.aux_series("nu_int"))
+    predicted = c0[-1] * np.exp(-traj.aux["nu_int"])
     assert_allclose(traj.states[:, -1], predicted, rtol=100 * RTOL)
 
 
@@ -181,7 +181,7 @@ def test_interpolated_samples_match_landed_steps():
         assert_allclose(dense.states[i + 1], landed.final_state, rtol=100 * RTOL, atol=0.0)
         for name in dense.aux:
             assert_allclose(
-                dense.aux_series(name)[i + 1], landed.aux_series(name)[-1],
+                dense.aux[name][i + 1], landed.aux[name][-1],
                 rtol=100 * RTOL, atol=0.0,
             )
 
@@ -314,7 +314,7 @@ def test_logtime_short_span_matches_t_chart(t_end, n, points_per_decade):
     assert_allclose(ref.abscissae, traj.abscissae, rtol=0.0, atol=0.0)
     assert_allclose(traj.states, ref.states, rtol=100 * RTOL, atol=0.0)
     for name in DENSITY_AUX:
-        assert_allclose(traj.aux_series(name), ref.aux_series(name), rtol=100 * RTOL, atol=0.0)
+        assert_allclose(traj.aux[name], ref.aux[name], rtol=100 * RTOL, atol=0.0)
 
 
 def test_logtime_tc1_approaches_one(logtime_n3):
@@ -342,7 +342,7 @@ def test_blowup_terminates_with_monotone_components(blowup_n4):
     assert traj.final_state[0] >= 1e10
     assert np.all(np.diff(traj.states, axis=0) > 0)
     assert estimate.omega > traj.final_abscissa
-    assert np.isfinite(traj.aux_series("tau")[-1])
+    assert np.isfinite(traj.aux["tau"][-1])
 
 
 def test_blowup_ratio_divergence_n3():
@@ -384,7 +384,7 @@ def test_blowup_trajectory_rows_stop_at_the_cap():
     phi1 = traj.states[:, 0]
     assert phi1[-1] >= 1e6 and np.all(phi1[:-1] < 1e6)
     assert traj.states[0].tobytes() == phi0.tobytes()
-    tau = traj.aux_series("tau")
+    tau = traj.aux["tau"]
     assert tau[0] == 0.0 and traj.abscissae[0] == 0.0
     assert traj.states[:, -1].tobytes() == (tau + phi0[-1]).tobytes()
     assert traj.stats.accepted > traj.n_samples - 1
@@ -473,7 +473,7 @@ def _assert_same_bits(traj, ref, abscissae):
     assert traj.states.tobytes() == ref.states.tobytes()
     assert list(traj.aux) == list(ref.aux)
     for name in ref.aux:
-        assert traj.aux_series(name).tobytes() == ref.aux_series(name).tobytes()
+        assert traj.aux[name].tobytes() == ref.aux[name].tobytes()
 
 
 @pytest.mark.parametrize("c0", _REFERENCE_C0)
@@ -533,7 +533,7 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     phi = np.column_stack([np.exp(run.states), tau + phi0[-1]])
     phi[0] = phi0
     rows = int(np.argmax(phi[:, 0] >= cap)) + 1
-    y = run.aux_series("y")
+    y = run.aux["y"]
     ref = Trajectory("phi-y", y[:rows], phi[:rows], aux={"tau": tau[:rows]})
     _assert_same_bits(traj, ref, y[:rows])
     assert traj.stats == run.stats
@@ -617,17 +617,18 @@ def test_trajectory_validation():
         Trajectory("t", [0.0, 1.0], [[1.0]])
     with pytest.raises(ValueError):
         Trajectory("t", [0.0, 1.0], [[1.0], [1.0]], aux={"y": [1.0, 0.0]})
+    # NaN is neither increasing nor nondecreasing
+    with pytest.raises(ValueError, match="abscissae"):
+        Trajectory("t", [0.0, math.nan, 2.0], [[1.0], [1.0], [1.0]],
+                   aux={"y": [0.0, math.nan, 0.1]})
+    with pytest.raises(ValueError, match="'y'"):
+        Trajectory("t", [0.0, 1.0, 2.0], [[1.0], [1.0], [1.0]],
+                   aux={"y": [0.0, math.nan, 0.1]})
     traj = Trajectory("t", [0.0, 1.0], [[1.0], [0.5]], aux={"y": [0.0, 0.7]})
     assert traj.n_samples == 2 and traj.dim == 1
-    with pytest.raises(KeyError):
-        traj.aux_series("nope")
 
 
 def test_blowup_estimate_validation():
     assert BlowupEstimate(1.0, 0.0) == BlowupEstimate(omega=1.0, uncertainty=0.0)
-    with pytest.raises(ValueError):
-        BlowupEstimate(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        BlowupEstimate(1.0, -1.0)
     with pytest.raises(TypeError):  # the method tag is gone
         BlowupEstimate(1.0, 0.0, "log-psi-tail")
