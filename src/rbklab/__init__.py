@@ -24,7 +24,6 @@ from .integrate import (
     IntegrationStats,
     IntegratorSettings,
     Trajectory,
-    chart_map_t_to_phi,
     integrate_adaptive,
     integrate_logtime,
     integrate_phi_to_blowup,

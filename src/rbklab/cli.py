@@ -64,7 +64,7 @@ class UsageError(ValueError):
 # the keys a run config, its sampling object and each c0 family may hold
 _RUN_KEYS = ("N", "c0", "seed", "chart", "t_end", "cap", "rtol", "atol", "max_steps",
              "sampling", "verify_theorem")
-_SAMPLING_KEYS = ("points_per_decade", "decades")
+_SAMPLING_KEYS = ("points_per_decade",)
 _FAMILIES = {
     "monodisperse": ("value", "index"),
     "uniform": ("value",),
@@ -99,7 +99,8 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
     if family == "self_similar":
         alpha = _finite("c0.self_similar.alpha", params.get("alpha", 0.5))
         kappa = _finite("c0.self_similar.kappa", params.get("kappa", 1.0))
-        return self_similar(alpha, kappa, 0.0, N)
+        with np.errstate(over="ignore"):  # resolve_run refuses the inf a tiny kappa gives
+            return self_similar(alpha, kappa, 0.0, N)
     # random: seed-fixed uniform positive densities
     if seed is None:
         raise ConfigError("random initial conditions require a seed")
@@ -207,14 +208,12 @@ def resolve_run(raw: dict) -> dict:
     )
     if points_per_decade < 0:  # 0 samples every accepted step
         raise ConfigError(f"sampling.points_per_decade must be >= 0, got {points_per_decade}")
-    decades = _finite("sampling.decades", sampling.get("decades", 6.0))
     chart = raw.get("chart", "t")
     if chart not in ("t", "log-t", "phi"):
         raise ConfigError(f"unknown chart {chart!r}")
     t_end = _finite("t_end", raw.get("t_end", 10.0))
     cap = _finite("cap", raw.get("cap", 1e10))
     phi0 = None
-    beyond = 2  # grid samples beyond t = 1; a run without a grid samples every step
     if chart == "phi":
         if not 3 <= N <= MAX_LAW_DIMENSION:
             raise ConfigError(
@@ -229,11 +228,9 @@ def resolve_run(raw: dict) -> dict:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
     elif points_per_decade > 0 or chart == "log-t":  # the runs that build a sample grid
         try:
-            grid = grid_times(chart, t_end, points_per_decade, decades)
-        except (ValueError, OverflowError) as exc:
+            grid = grid_times(chart, t_end, points_per_decade)
+        except (ValueError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"no sample grid to t_end={t_end}: {exc}") from exc
-        if points_per_decade > 0:
-            beyond = int((grid > 1.0).sum())
     verify_theorem = raw.get("verify_theorem", False)
     if not isinstance(verify_theorem, bool):
         raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
@@ -245,7 +242,11 @@ def resolve_run(raw: dict) -> dict:
             longtime_laws(profile.n_eff, profile.m)  # a support with no long-time law
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # the long-time residuals need two samples beyond t = 1
+        # the long-time residuals are taken on the sample grid, at least two
+        # of its samples beyond t = 1
+        if points_per_decade == 0:
+            raise ConfigError("verify_theorem needs sampling.points_per_decade > 0")
+        beyond = int((grid > 1.0).sum())
         if beyond < 2:
             raise ConfigError(
                 f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
@@ -258,7 +259,6 @@ def resolve_run(raw: dict) -> dict:
         "cap": cap,
         "phi0": phi0,
         "points_per_decade": points_per_decade,
-        "decades": decades,
         "verify_theorem": verify_theorem,
     }
 
@@ -351,7 +351,6 @@ def _simulate_trajectory(run: dict) -> Trajectory:
             run["t_end"],
             settings,
             points_per_decade=run["points_per_decade"],
-            decades=run["decades"],
         )
     if run["chart"] == "log-t":
         return integrate_logtime(

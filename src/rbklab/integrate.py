@@ -30,7 +30,6 @@ __all__ = [
     "IntegrationStats",
     "IntegratorSettings",
     "Trajectory",
-    "chart_map_t_to_phi",
     "geometric_grid",
     "grid_times",
     "integrate_adaptive",
@@ -183,13 +182,18 @@ def _log_time_grid(t_end: float, points_per_decade: int) -> np.ndarray:
     return np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
 
 
-def grid_times(chart: str, t_end: float, points_per_decade: int, decades: float = 6.0):
+# the t chart samples the trailing six decades of [0, t_end]
+_T_GRID_DECADES = 6.0
+
+
+def grid_times(chart: str, t_end: float, points_per_decade: int):
     """The t of every grid sample that a "t" or "log-t" run to t_end with
     points_per_decade > 0 takes (see integrate_rbk and integrate_logtime);
-    the log-t grid starts at t = 0, the start, and the t grid after it."""
+    the log-t grid starts at t = 0, the start, and the t grid six decades
+    before t_end."""
     if chart == "log-t":
         return np.expm1(_log_time_grid(t_end, points_per_decade))
-    return geometric_grid(t_end * 10.0 ** (-decades), t_end, points_per_decade)
+    return geometric_grid(t_end * 10.0 ** (-_T_GRID_DECADES), t_end, points_per_decade)
 
 
 # accumulators of the density charts: y = int c_N dt, tau = int c_1 dt and
@@ -501,14 +505,14 @@ def integrate_rbk(
     settings: IntegratorSettings | None = None,
     *,
     points_per_decade: int = 64,
-    decades: float = 6.0,
 ) -> Trajectory:
-    """t-chart run of the RBK system over [0, t_end] with a geometric sample
-    grid covering the trailing `decades` decades of time."""
+    """t-chart run of the RBK system over [0, t_end], sampled on a geometric
+    grid over the trailing six decades of time, or at every accepted step
+    when points_per_decade is 0."""
     c0 = np.asarray(c0, dtype=float)
     grid = None
     if t_end > 0 and points_per_decade > 0:
-        grid = grid_times("t", t_end, points_per_decade, decades)
+        grid = grid_times("t", t_end, points_per_decade)
     return integrate_adaptive(
         _density_rate(c0.size, log_time=False),
         np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
@@ -656,27 +660,3 @@ def integrate_phi_to_blowup(
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     omega = float(y[-1]) + tail
     return traj, BlowupEstimate(omega=omega, uncertainty=settings.rtol * omega + tail)
-
-
-def chart_map_t_to_phi(traj: Trajectory) -> Trajectory:
-    """Map a t-chart trajectory into the phi-chart: abscissa y(t) (from the
-    accumulator), state phi_j = c_j / c_N.  Fails where c_N = 0 (chart
-    breakdown); the tau accumulator carries over since tau = int c_1 dt."""
-    if traj.chart not in ("t", "log-t"):
-        raise ValueError(f"expected a t-chart trajectory, got {traj.chart!r}")
-    y = traj.aux["y"]
-    c_last = traj.states[:, -1]
-    if np.any(c_last <= 0):
-        raise ValueError("chart breakdown: c_N = 0 on the trajectory")
-    phi = traj.states[:, :-1] / c_last[:, None]
-    aux = {}
-    if "tau" in traj.aux:
-        aux["tau"] = traj.aux["tau"]
-    return Trajectory(
-        chart="phi-y",
-        abscissae=y,
-        states=phi,
-        aux=aux,
-        settings=traj.settings,
-        stats=traj.stats,
-    )

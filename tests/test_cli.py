@@ -78,9 +78,7 @@ def test_simulate_negative_c0_exits_3(tmp_path):
         ({"N": 2, "c0": [-1, 1]}, "initial densities must be nonnegative"),
         ({"N": 3, "c0": [1, 2]}, "c0 has length 2, expected N=3"),
         ({"N": 2, "c0": [True, 1]}, "c0[0] must be a number, got True"),
-        pytest.param({"N": 3, "c0": {"self_similar": {"kappa": 1e-320}}},
-                     "c0 has non-finite components",
-                     marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        ({"N": 3, "c0": {"self_similar": {"kappa": 1e-320}}}, "c0 has non-finite components"),
     ],
     ids=["N-zero", "N-negative", "negative-entry", "length", "bool-entry",
          "self-similar-overflow"],
@@ -154,7 +152,6 @@ _NUMERIC_FIELDS = [
     (("max_steps",), {"N": 3}),
     (("seed",), {"N": 3, "c0": {"random": {}}, "seed": 1}),
     (("sampling", "points_per_decade"), {"N": 3, "sampling": {}}),
-    (("sampling", "decades"), {"N": 3, "sampling": {}}),
     (("c0", 1), {"N": 3, "c0": [1.0, 1.0, 1.0]}),
     (("c0", "uniform", "value"), {"N": 3, "c0": {"uniform": {}}}),
     (("c0", "monodisperse", "index"), {"N": 3, "c0": {"monodisperse": {}}}),
@@ -193,7 +190,7 @@ def test_non_finite_config_field_exits_3_and_writes_nothing(field, value, comman
         {"t_end": math.nan},
         {"cap": -math.inf},
         {"sampling": {"points_per_decade": math.inf}},
-        {"sampling": {"decades": math.nan}},
+        {"c0": {"self_similar": {"kappa": math.inf}}},
         {"t_end": 10**400},
     ],
 )
@@ -290,6 +287,8 @@ def test_self_similar_family_is_the_core_profile():
         ({"N": 3, "chart": "phi", "cap": 1e4}, "t or log-t chart"),
         ({"N": 3, "t_end": 1.0}, "need samples beyond t = 1"),
         ({"N": 3, "t_end": 1.0, "chart": "log-t"}, "need samples beyond t = 1"),
+        ({"N": 3, "t_end": 1.0, "sampling": {"points_per_decade": 0}},
+         "needs sampling.points_per_decade > 0"),
     ],
 )
 def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, doc, message):
@@ -308,6 +307,7 @@ def test_simulate_bad_theorem_request_exits_3_before_writing(tmp_path, capsys, d
         (["simulate"], {"N": 3, "sampling": {"point_per_decade": 8}}),
         (["simulate"], {"N": 3, "c0": {"uniform": {"valeu": 2.0}}}),
         (["verify", "theorem-constants", "--N", "3"], {"t_ned": 1e6}),
+        (["simulate"], {"N": 3, "sampling": {"decades": 6}}),  # the retired key
     ],
 )
 def test_unknown_config_key_exits_3_before_writing(tmp_path, capsys, command, doc):
@@ -517,13 +517,15 @@ def test_blowup_value_error_after_the_inputs_passed_exits_2(tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "command, doc, message",
     [
-        (["simulate"], {"N": 3, "sampling": {"decades": 0}}, "no sample grid"),
+        (["simulate"], {"N": 3, "t_end": 1e-320}, "no sample grid"),  # the grid start underflows
         (["simulate", "--chart", "log-t"], {"N": 3, "t_end": 1e-17}, "no sample grid"),
         (["simulate", "--chart", "phi"], {"N": 21}, "need N in 3..20"),
         (["blowup"], {"N": 25}, "need N in 3..20"),
         (["verify", "support"], {"N": 3, "c0": [0.0, 0.0, 0.0]}, "empty support"),
         (["verify", "theorem-constants", "--N", "4"], {"t_end": 0.5},
          "need samples beyond t = 1"),
+        # a grid larger than the address space fails to allocate at once
+        (["simulate"], {"N": 3, "sampling": {"points_per_decade": 10**13}}, "no sample grid"),
     ],
 )
 def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, message):

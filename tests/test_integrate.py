@@ -15,7 +15,6 @@ from rbklab.integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    chart_map_t_to_phi,
     geometric_grid,
     integrate_adaptive,
     integrate_logtime,
@@ -148,10 +147,10 @@ def test_grid_samples_are_start_grid_points_and_end():
     traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=320)
     assert traj.abscissae.tolist() == [0.0, *grid.tolist()]
     assert traj.stats.accepted < grid.size
-    # a grid that stops short of the span end still ends on the span end
-    traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=16, decades=2.0)
+    # a coarser grid over the same six decades also ends on the span end
+    traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=16)
     assert traj.abscissae.tolist()[-1] == 100.0
-    assert np.all(np.isin(geometric_grid(1.0, 100.0, 16), traj.abscissae))
+    assert np.all(np.isin(geometric_grid(100.0 * 10.0 ** -6.0, 100.0, 16), traj.abscissae))
 
 
 def test_grid_samples_end_at_stop_point():
@@ -543,33 +542,17 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
 
 
 # ---------------------------------------------------------------------------
-# chart map
+# chart map: y = int c_N dt and phi_j = c_j / c_N of a t-run
 # ---------------------------------------------------------------------------
 
 
 def test_chart_map_monodisperse():
     q = 2.0
     traj = integrate_rbk([0.0, 0.0, q], 5.0)
-    mapped = chart_map_t_to_phi(traj)
-    assert np.all(mapped.states == 0.0)
+    assert np.all(traj.states[:, :-1] == 0.0)
     # y(t) = log(1 + q t) for monodisperse decay
     expected = np.log(1.0 + q * traj.abscissae[1:])
-    assert_allclose(mapped.abscissae[1:], expected, rtol=100 * RTOL)
-
-
-def test_chart_map_round_trip_algebraic():
-    rng = np.random.default_rng(23)
-    c0 = rng.uniform(0.1, 1.0, 4)
-    traj = integrate_rbk(c0, 3.0)
-    mapped = chart_map_t_to_phi(traj)
-    rebuilt = mapped.states * traj.states[:, -1][:, None]
-    assert_allclose(rebuilt, traj.states[:, :-1], rtol=4e-16, atol=0)
-
-
-def test_chart_map_requires_positive_cn():
-    traj = integrate_rbk([1.0, 0.0, 0.0], 1.0)  # c_3 identically zero
-    with pytest.raises(ValueError, match="chart breakdown"):
-        chart_map_t_to_phi(traj)
+    assert_allclose(traj.aux["y"][1:], expected, rtol=100 * RTOL)
 
 
 def test_phi_chart_consistency_with_mapped_trajectory():
@@ -577,8 +560,8 @@ def test_phi_chart_consistency_with_mapped_trajectory():
     phi-system directly at the matched y values."""
     c0 = np.array([1.0, 1.0, 1.0])
     traj = integrate_rbk(c0, 3.0, points_per_decade=16)
-    mapped = chart_map_t_to_phi(traj)
-    y = mapped.abscissae
+    y = traj.aux["y"]
+    phi = traj.states[:, :-1] / traj.states[:, -1:]
     direct = integrate_adaptive(
         phi_rate,
         c0[:-1] / c0[-1],
@@ -589,7 +572,7 @@ def test_phi_chart_consistency_with_mapped_trajectory():
     )
     idx = np.searchsorted(direct.abscissae, y[1:-1])
     assert np.all(direct.abscissae[idx] == y[1:-1])
-    assert_allclose(direct.states[idx], mapped.states[1:-1], rtol=100 * RTOL)
+    assert_allclose(direct.states[idx], phi[1:-1], rtol=100 * RTOL)
 
 
 # ---------------------------------------------------------------------------
