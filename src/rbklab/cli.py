@@ -344,22 +344,11 @@ def _law_table(laws) -> dict:
 
 
 def _simulate_trajectory(run: dict) -> Trajectory:
-    settings = run["settings"]
-    if run["chart"] == "t":
-        return integrate_rbk(
-            run["c0"],
-            run["t_end"],
-            settings,
-            points_per_decade=run["points_per_decade"],
-        )
-    if run["chart"] == "log-t":
-        return integrate_logtime(
-            run["c0"],
-            run["t_end"],
-            settings,
-            points_per_decade=run["points_per_decade"],
-        )
-    return integrate_phi_to_blowup(run["phi0"], run["cap"], settings)[0]
+    if run["chart"] == "phi":
+        return integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])[0]
+    driver = integrate_rbk if run["chart"] == "t" else integrate_logtime
+    return driver(run["c0"], run["t_end"], run["settings"],
+                  points_per_decade=run["points_per_decade"])
 
 
 def _simulate_and_write(run: dict, csv_path) -> Trajectory:

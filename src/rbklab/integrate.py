@@ -1,11 +1,11 @@
 """Adaptive integration of the RBK system in its three charts.
 
 One explicit Dormand-Prince 5(4) embedded pair with PI step-size control
-drives everything: plain t-chart runs, long-time runs in s = log(1 + t), and
-finite-y blowup runs of the phi chart in s = log(1 + tau).  Auxiliary
-accumulators (the chart changes y = int c_N, tau = int c_1 = int phi_1 dy, and
-int nu) are appended to the state vector and integrated under the same error
-control.
+drives everything: density runs of u = (1 + t) c in s = log(1 + t), which
+serve both time charts and differ only in their sample grids, and finite-y
+blowup runs of the phi chart in s = log(1 + tau).  Auxiliary accumulators (the
+chart changes y = int c_N, tau = int c_1 = int phi_1 dy, and int nu) are
+appended to the state vector and integrated under the same error control.
 
 The system is non-stiff in every chart at desk scale: the nonlinearity is a
 decaying quadratic in t and a polynomially growing one in tau, so an explicit
@@ -96,13 +96,15 @@ class Trajectory:
     """Immutable ordered samples of one chart.
 
     chart is one of {"t", "log-t", "phi-y"}; abscissae are reported in t for
-    both t-charts and in y for the phi chart.  aux maps accumulator names to
-    per-sample values integrated alongside the state.  stats holds the
-    integrator's counters when the trajectory came out of a run.
+    both time charts, which differ only in their sample grids, and in y for
+    the phi chart.  aux maps accumulator names to per-sample values
+    integrated alongside the state.  stats holds the integrator's counters
+    when the trajectory came out of a run.
     """
 
-    # chart -> the abscissa it is integrated in: log-t runs in s = log(1 + t)
-    # and phi-y in s = log(1 + tau)
+    # chart -> the abscissa integrate_adaptive integrates in: t for a generic
+    # run, s = log(1 + t) for the density runs of both time charts (tagged
+    # log-t while they integrate) and s = log(1 + tau) for phi-y
     CHARTS = {"t": "t", "log-t": "s", "phi-y": "s"}
 
     chart: str
@@ -176,24 +178,32 @@ def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndar
     return np.geomspace(lo, hi, n)
 
 
-def _log_time_grid(t_end: float, points_per_decade: int) -> np.ndarray:
-    """Sample grid of the log-t chart in s = log(1 + t): the s-images of a
-    geometric grid over [1, 1 + t_end], uniform in s."""
-    return np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
-
-
 # the t chart samples the trailing six decades of [0, t_end]
 _T_GRID_DECADES = 6.0
 
 
-def grid_times(chart: str, t_end: float, points_per_decade: int):
-    """The t of every grid sample that a "t" or "log-t" run to t_end with
-    points_per_decade > 0 takes (see integrate_rbk and integrate_logtime);
-    the log-t grid starts at t = 0, the start, and the t grid six decades
-    before t_end."""
+def _sample_grid(chart: str, t_end: float, points_per_decade: int):
+    """(s, t) of the sample grid of a "t" or "log-t" run to t_end: both start
+    at 0 and end on the run's span end in s = log(1 + t).  The log-t grid is
+    uniform in s, the logs of a geometric grid over [1, 1 + t_end], reported
+    at t = e^s - 1.  The t grid is geometric in t over the trailing six
+    decades (only t_end when points_per_decade is 0), taken at s = log1p(t)
+    and reported at its own t, so the run lands on every grid point and ends
+    on t_end."""
     if chart == "log-t":
-        return np.expm1(_log_time_grid(t_end, points_per_decade))
-    return geometric_grid(t_end * 10.0 ** (-_T_GRID_DECADES), t_end, points_per_decade)
+        s = np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
+        return s, np.expm1(s)
+    t = [t_end]
+    if points_per_decade > 0:
+        t = geometric_grid(t_end * 10.0 ** (-_T_GRID_DECADES), t_end, points_per_decade)
+    t = np.concatenate(([0.0], t))
+    return np.log1p(t), t
+
+
+def grid_times(chart: str, t_end: float, points_per_decade: int):
+    """The t of every sample that a "t" or "log-t" run to t_end with
+    points_per_decade > 0 reports, the start t = 0 first (see _sample_grid)."""
+    return _sample_grid(chart, t_end, points_per_decade)[1]
 
 
 # accumulators of the density charts: y = int c_N dt, tau = int c_1 dt and
@@ -201,25 +211,24 @@ def grid_times(chart: str, t_end: float, points_per_decade: int):
 _DENSITY_AUX = ("y", "tau", "nu_int")
 
 
-def _density_rate(dim: int, log_time: bool):
-    """Packed rate of the density charts: the RBK field of c = z[:dim], then
-    the rates c_N, c_1 and nu of the accumulators in _DENSITY_AUX order.  The
-    log-time chart integrates u = (1 + t) c in s = log(1 + t); the field is
-    quadratic, so du/ds = u + field(u), and the accumulators keep their rates
-    because int c dt = int u ds."""
+def _density_rate(dim: int):
+    """Packed rate of every density run, which integrates u = (1 + t) c in
+    s = log(1 + t): the field is quadratic, so du/ds = u + field(u) for
+    u = z[:dim], then the rates u_N, u_1 and sum u of the accumulators in
+    _DENSITY_AUX order, the t-chart rates of y, tau and nu_int because
+    int c dt = int u ds."""
     n = dim + 3
 
-    def rate(t, z):
-        c = z[:dim]
+    def rate(s, z):
+        u = z[:dim]
         out = np.empty(n)
         # looked up at call time, so a wrapper installed on the module
         # attribute (the benchmark's traced run) sees every field call
-        out[:dim] = rbk_field(c)
-        if log_time:
-            out[:dim] += c
-        out[dim] = c[-1]
-        out[dim + 1] = c[0]
-        out[dim + 2] = c.sum()
+        out[:dim] = rbk_field(u)
+        out[:dim] += u
+        out[dim] = u[-1]
+        out[dim + 1] = u[0]
+        out[dim + 2] = u.sum()
         return out
 
     return rate
@@ -499,6 +508,34 @@ def integrate_adaptive(
 # ---------------------------------------------------------------------------
 
 
+def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajectory:
+    """Both time charts are this one run of u = (1 + t) c in s = log(1 + t),
+    where du/ds = u + field(u), from s = 0 to the end of the chart's sample
+    grid (_sample_grid).  By the long-time law c_j ~ A_j / (t (log t)^(j-1)),
+    u stays O(1), so error control keeps its relative meaning as c decays.
+
+    The run is sampled on the grid and reported at the grid's t or, when
+    points_per_decade is 0, at every accepted step, reported at t = e^s - 1
+    and the last at the grid's end.  States are reported as c = e^-s u, and a
+    failure names s.
+    """
+    s_grid, t_grid = _sample_grid(chart, t_end, points_per_decade)
+    c0 = np.asarray(c0, dtype=float)
+    run = integrate_adaptive(
+        _density_rate(c0.size),
+        np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
+        (0.0, s_grid[-1]),
+        settings,
+        grid=s_grid if points_per_decade > 0 else None,
+        aux_names=_DENSITY_AUX,
+        nonneg_guard=True,
+        chart="log-t",
+    )
+    s = run.abscissae
+    t = t_grid if points_per_decade > 0 else np.append(np.expm1(s[:-1]), t_grid[-1])
+    return replace(run, chart=chart, abscissae=t, states=np.exp(-s)[:, None] * run.states)
+
+
 def integrate_rbk(
     c0,
     t_end: float,
@@ -507,22 +544,8 @@ def integrate_rbk(
     points_per_decade: int = 64,
 ) -> Trajectory:
     """t-chart run of the RBK system over [0, t_end], sampled on a geometric
-    grid over the trailing six decades of time, or at every accepted step
-    when points_per_decade is 0."""
-    c0 = np.asarray(c0, dtype=float)
-    grid = None
-    if t_end > 0 and points_per_decade > 0:
-        grid = grid_times("t", t_end, points_per_decade)
-    return integrate_adaptive(
-        _density_rate(c0.size, log_time=False),
-        np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
-        (0.0, t_end),
-        settings,
-        grid=grid,
-        aux_names=_DENSITY_AUX,
-        nonneg_guard=True,
-        chart="t",
-    )
+    grid over the trailing six decades of t (see _density_run)."""
+    return _density_run("t", c0, t_end, settings, points_per_decade)
 
 
 def integrate_logtime(
@@ -532,28 +555,9 @@ def integrate_logtime(
     *,
     points_per_decade: int = 64,
 ) -> Trajectory:
-    """Long-time run of u = (1 + t) c in s = log(1 + t), where
-    du/ds = u + field(u), from s = 0 to log(1 + t_end).  By the long-time law
-    c_j ~ A_j / (t (log t)^(j-1)), u stays O(1), so error control keeps its
-    relative meaning as c decays.  Samples are taken as in the t chart: the
-    s-images of a geometric grid over [1, 1 + t_end], which are uniform in s,
-    or every accepted step when points_per_decade is 0.  Abscissae are
-    reported in t = e^s - 1 and states as c = u e^-s.
-    """
-    c0 = np.asarray(c0, dtype=float)
-    s_grid = _log_time_grid(t_end, points_per_decade)
-    traj = integrate_adaptive(
-        _density_rate(c0.size, log_time=True),
-        np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
-        (0.0, s_grid[-1]),
-        settings,
-        grid=s_grid if points_per_decade > 0 else None,
-        aux_names=_DENSITY_AUX,
-        nonneg_guard=True,
-        chart="log-t",
-    )
-    s = traj.abscissae
-    return replace(traj, abscissae=np.expm1(s), states=np.exp(-s)[:, None] * traj.states)
+    """Long-time run of the RBK system over [0, t_end], sampled uniformly in
+    s = log(1 + t) (see _density_run)."""
+    return _density_run("log-t", c0, t_end, settings, points_per_decade)
 
 
 def integrate_phi_to_blowup(
@@ -607,11 +611,14 @@ def integrate_phi_to_blowup(
         psi = np.empty(n - 1)
         psi[:dim] = np.exp(z[:dim])
         psi[dim] = tau + last0
+        # core.phi_field is looked up at call time, like rbk_field in
+        # _density_rate.  It runs before the divisions: a trial stage that
+        # drives some exp(w_j) to 0 makes it raise ValueError, which rejects
+        # the stage, so psi_1 = 0 is never divided by
+        f = core.phi_field(psi)
         g = (1.0 + tau) / psi[0]
         out = np.empty(dim + 1)
-        # core.phi_field is looked up at call time, like rbk_field in
-        # _density_rate
-        out[:dim] = g * core.phi_field(psi)[:dim] / psi[:dim]
+        out[:dim] = g * f[:dim] / psi[:dim]
         out[dim] = g
         return out
 

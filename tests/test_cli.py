@@ -22,7 +22,12 @@ from rbklab.cli import (
     write_json,
     write_trajectory_csv,
 )
-from rbklab.integrate import Trajectory, integrate_logtime, integrate_rbk
+from rbklab.integrate import (
+    Trajectory,
+    integrate_logtime,
+    integrate_phi_to_blowup,
+    integrate_rbk,
+)
 
 
 def write_config(tmp_path, name="config.json", **doc):
@@ -347,6 +352,17 @@ def test_logtime_zero_points_per_decade_samples_every_step(tmp_path):
     assert data[-1, 0] == traj.final_abscissa
 
 
+def test_t_chart_reaches_the_top_of_the_double_range_on_a_small_budget(tmp_path):
+    """The t chart integrates in s = log(1 + t), so a span to t = 1e308 takes
+    a few hundred steps, and its rows still run from (0, c0) to t_end."""
+    cfg = write_config(tmp_path, N=3, t_end=1e308, max_steps=5000)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, data = read_trajectory_csv(out)
+    assert data[0, :4].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert data[-1, 0] == 1e308
+
+
 def _reference_csv(header, table) -> bytes:
     """The CSV contract written out value by value."""
     lines = [",".join(header)]
@@ -465,6 +481,22 @@ def test_blowup_n16_omega_within_its_bar_of_the_packaged_oracle(tmp_path, oracle
     reference = oracle_fixtures["omega/N16_ones"]["oracle"]["omega"]
     assert abs(report["omega"] - reference) <= report["uncertainty"]
     assert report["flags"] == {"laws_unconverged": True}
+
+
+def test_blowup_rejects_a_stage_that_underflows_psi_1_without_a_warning(tmp_path):
+    """On this c0 one trial stage drives exp(w_1) to 0; the stage is rejected
+    before any division by it, so no numpy warning is raised (pytest turns
+    warnings into errors), and omega's bar still covers the log(phi_1)-chart
+    oracle: harness.omega_reference((1, 1e-6, 1)) is 1.0034174086601644 with
+    an error estimate of 4.5e-14 (11 s to compute, so not recomputed here)."""
+    c0 = [1.0, 1e-6, 1.0, 1.0]
+    cfg = write_config(tmp_path, N=4, c0=c0)
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert abs(report["omega"] - 1.0034174086601644) <= report["uncertainty"]
+    phi0 = np.array(c0[:-1])  # c_N = 1
+    assert integrate_phi_to_blowup(phi0, 1e10)[0].stats.rejected_nonfinite == 1
 
 
 def test_blowup_flags_unconverged_laws_at_large_n(tmp_path):

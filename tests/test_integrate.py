@@ -33,6 +33,12 @@ def density_rate(t, z):
     return np.concatenate([rbk_field(c), [c[-1], c[0], c.sum()]])
 
 
+def log_density_rate(s, z):
+    """Packed rate of z = (u, y, tau, nu_int) for u = (1 + t) c in
+    s = log(1 + t): du/ds = u + field(u), the accumulators as in t."""
+    return density_rate(s, z) + np.concatenate([z[:-3], np.zeros(3)])
+
+
 def phi_rate(y, phi):
     return phi_field(phi)
 
@@ -140,6 +146,8 @@ def test_step_sequence_independent_of_grid(points_per_decade):
     assert traj.final_state.tobytes() == free.final_state.tobytes()
     assert traj.stats.accepted == free.stats.accepted
     assert free.n_samples == free.stats.accepted + 1
+    # every step is a sample, from the start to exactly the span end
+    assert (free.abscissae[0], free.abscissae[-1]) == (0.0, 100.0)
 
 
 def test_grid_samples_are_start_grid_points_and_end():
@@ -240,10 +248,11 @@ def test_integration_stats_count_non_finite_attempts(bad_call):
 
 
 def test_max_steps_exhaustion():
-    """The message names the chart's own abscissa and the last accepted h."""
+    """The message names the abscissa the run integrates in, s for both time
+    charts, and the last accepted h."""
     tight = IntegratorSettings(max_steps=10)
     with pytest.raises(IntegrationError,
-                       match=r"max_steps=10 exhausted at t=\S+ \(last accepted h="):
+                       match=r"max_steps=10 exhausted at s=\S+ \(last accepted h="):
         integrate_rbk(np.ones(3), 1e6, tight)
     with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
         integrate_logtime(np.ones(3), 1e6, tight)
@@ -447,16 +456,14 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
                 z = np.append(w, 0.7)
                 assert rate(s, z).tobytes() == log_psi_rate(s, z, phi0[-1]).tobytes()
             continue
+        # both time charts are one density run in s = log(1 + t)
         driver = integrate_rbk if chart == "t" else integrate_logtime
         rate, z0, names, tag = _only_run(monkeypatch, driver, c0, 50.0)
-        assert (names, tag) == (DENSITY_AUX, chart)
+        assert (names, tag) == (DENSITY_AUX, "log-t")
         assert z0.tobytes() == packed(c0).tobytes()
         for x, c in ((0.0, c0), (1.5, 0.5 * c0), (12.0, c0 * 1e-4)):
             z = np.concatenate([c, [0.1, 0.2, 0.3]])
-            expected = density_rate(x, z)
-            if chart == "log-t":  # du/ds = u + field(u) for u = (1 + t) c
-                expected = expected + np.concatenate([c, np.zeros(3)])
-            assert rate(x, z).tobytes() == expected.tobytes()
+            assert rate(x, z).tobytes() == log_density_rate(x, z).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +484,24 @@ def _assert_same_bits(traj, ref, abscissae):
 
 @pytest.mark.parametrize("c0", _REFERENCE_C0)
 def test_t_driver_matches_generic_path_bitwise(c0):
+    """The t chart is the log-t run sampled at log1p of its t grid, and
+    reported at that grid's own t."""
     t_end = 50.0
     traj = integrate_rbk(c0, t_end)
+    t_grid = np.concatenate([[0.0], geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64)])
+    s_grid = np.log1p(t_grid)
     ref = integrate_adaptive(
-        density_rate,
+        log_density_rate,
         packed(c0),
-        (0.0, t_end),
-        grid=geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64),
+        (0.0, s_grid[-1]),
+        grid=s_grid,
         aux_names=DENSITY_AUX,
-        chart="t",
+        chart="log-t",
     )
-    _assert_same_bits(traj, ref, ref.abscissae)
+    assert ref.abscissae.tobytes() == s_grid.tobytes()
+    ref = replace(ref, states=np.exp(-s_grid)[:, None] * ref.states)
+    _assert_same_bits(traj, ref, t_grid)
+    assert traj.chart == "t"
 
 
 @pytest.mark.parametrize("c0", _REFERENCE_C0)
@@ -496,7 +510,7 @@ def test_logtime_driver_matches_generic_path_bitwise(c0):
     traj = integrate_logtime(c0, t_end)
     s_grid = np.log(geometric_grid(1.0, 1.0 + t_end, 64))
     ref = integrate_adaptive(
-        lambda s, z: density_rate(s, z) + np.concatenate([z[:-3], np.zeros(3)]),
+        log_density_rate,
         packed(c0),
         (0.0, s_grid[-1]),
         grid=s_grid,
