@@ -33,7 +33,6 @@ from .asymptotics import (
     blowup_diagnostic,
     fit_power_law,
     longtime_diagnostic,
-    omega_gap_diagnostic,
     psi_diagnostic,
     ratio_divergence,
 )

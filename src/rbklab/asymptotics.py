@@ -40,7 +40,6 @@ __all__ = [
     "blowup_diagnostic",
     "fit_power_law",
     "longtime_diagnostic",
-    "omega_gap_diagnostic",
     "psi_diagnostic",
     "ratio_divergence",
 ]
@@ -228,26 +227,3 @@ def ratio_divergence(traj) -> dict[int, RatioTrend]:
             exceeds_threshold=bool(ratios[-1] > _RATIO_THRESHOLD),
         )
     return out
-
-
-def omega_gap_diagnostic(traj, omega: float) -> ConvergenceDiagnostic:
-    """Residual of the long-time gap law
-    omega - y(t) ~ (N-1)!/(N-2) * (log t)^(2-N), N = traj.dim, on a time-chart
-    run carrying the y accumulator; omega is that of a companion phi-chart run
-    started at phi(0) = c(0)/c_N(0).  Samples with t <= 1 are excluded."""
-    if traj.chart not in ("t", "log-t"):
-        raise ValueError(f"expected a time-chart trajectory, got {traj.chart!r}")
-    if "y" not in traj.aux:
-        raise ValueError("trajectory lacks the y accumulator")
-    if omega is None:
-        raise ValueError("missing companion omega estimate")
-    N = traj.dim
-    if N < 3:
-        raise ValueError(f"gap law needs N >= 3, got {N}")
-    t = traj.abscissae
-    mask = t > 1.0
-    if mask.sum() < 2:
-        raise ValueError("need samples beyond t = 1")
-    gap = omega - traj.aux["y"][mask]
-    scale = checked_factorial(N - 1) / (N - 2) * np.log(t[mask]) ** (2.0 - N)
-    return ConvergenceDiagnostic(abscissae=t[mask], residuals=gap / scale - 1.0)

@@ -12,7 +12,6 @@ from rbklab.asymptotics import (
     blowup_diagnostic,
     fit_power_law,
     longtime_diagnostic,
-    omega_gap_diagnostic,
     psi_diagnostic,
     ratio_divergence,
 )
@@ -231,51 +230,3 @@ def test_ratio_divergence_last_ratio_is_phi_itself():
     trends = ratio_divergence(traj)
     assert trends[2].final_value == traj.final_state[1]
 
-
-# ---------------------------------------------------------------------------
-# omega gap diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_omega_gap_synthetic_exact():
-    n = 3
-    omega = 1.5
-    t = np.geomspace(0.5, 1e8, 100)  # includes t <= 1 samples to be excluded
-    y = omega - math.factorial(n - 1) / (n - 2) * np.log(
-        np.maximum(t, 1.0 + 1e-9)
-    ) ** (2.0 - n)
-    good = t > 1.0
-    states = np.ones((t.size, n))
-    traj = Trajectory("log-t", t, states, aux={"y": np.maximum.accumulate(y)})
-    diag = omega_gap_diagnostic(traj, omega)
-    assert np.all(diag.abscissae > 1.0)
-    assert np.max(np.abs(diag.residuals[-good.sum():])) < 1e-12
-
-
-def test_omega_gap_real_trend(logtime_n3, oracle_fixtures):
-    traj = logtime_n3
-    omega = oracle_fixtures["omega/N3_ones"]["oracle"]["omega"]
-    diag = omega_gap_diagnostic(traj, omega)
-
-    def at(target):
-        return abs(diag.residuals[int(np.argmin(np.abs(diag.abscissae - target)))])
-
-    assert at(1e8) < at(1e4)
-
-
-def test_omega_gap_requires_companion_omega(logtime_n3):
-    with pytest.raises(ValueError, match="omega"):
-        omega_gap_diagnostic(logtime_n3, None)
-
-
-def test_omega_gap_requires_y_accumulator():
-    traj = Trajectory("log-t", [2.0, 3.0], [[1.0], [0.5]])
-    with pytest.raises(ValueError, match="y accumulator"):
-        omega_gap_diagnostic(traj, 1.5)
-
-
-def test_omega_gap_reads_N_from_the_run():
-    """The gap law needs N >= 3, and N is the run's own dimension."""
-    traj = Trajectory("log-t", [2.0, 3.0], [[1.0, 1.0], [0.5, 0.5]], aux={"y": [0.1, 0.2]})
-    with pytest.raises(ValueError, match="gap law needs N >= 3, got 2"):
-        omega_gap_diagnostic(traj, 1.5)

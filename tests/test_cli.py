@@ -499,6 +499,49 @@ def test_blowup_rejects_a_stage_that_underflows_psi_1_without_a_warning(tmp_path
     assert integrate_phi_to_blowup(phi0, 1e10)[0].stats.rejected_nonfinite == 1
 
 
+# valid steep c0 at N = 10 whose first steps move some phi_j by less than an
+# ulp (case A) or whose first stepped row of phi_j lands 2 ulps below the
+# exact phi0 (case B), with omega of the log(phi_1)-chart oracle
+# harness.omega_reference (estimates 9.0e-16 and 9.0e-18; 12 s to compute,
+# so not recomputed here)
+_STEEP_N10 = [
+    ([1.73e-06, 3.1e-09, 1.58e-09, 5.74, 89.8, 0.019, 0.567, 0.00334, 166.0, 6.17],
+     0.06361359904573848),
+    ([8.289645634394048e-06, 0.0009987579952211159, 1.3223645615681375e-08,
+      71.85365603058607, 753.0676834190988, 5.0678366760074e-09, 1.989640548063328e-05,
+      0.5764676408316274, 5.900075574866867e-06, 0.006376716369163426],
+     2.9457302330182305e-05),
+]
+
+
+@pytest.mark.parametrize("c0, oracle", _STEEP_N10)
+def test_blowup_accepts_phi_components_that_tie_in_double_precision(tmp_path, c0, oracle):
+    """The run checks the log psi_j it integrated, which never decrease, not
+    the reported phi_j, which tie or dip by an ulp on this data; the numpy
+    overflow of rejected trial stages raises no warning (pytest turns
+    warnings into errors)."""
+    cfg = write_config(tmp_path, N=10, c0=c0)
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert abs(report["omega"] - oracle) <= report["uncertainty"]
+
+
+def test_blowup_overflowing_trial_stage_raises_no_warning(tmp_path):
+    """A trial stage of this run overflows exp(w_j); the step loop rejects
+    it, and numpy prints no warning."""
+    cfg = write_config(tmp_path, N=4, c0=[1.0, 1e-12, 1e-12, 1.0])
+    assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_simulate_overflowing_initial_data_exits_2_without_a_warning(tmp_path, capsys):
+    """The field of c0 = 1e160 overflows in the first step: the run fails on
+    the step-underflow guard and exits 2, with no numpy warning on the way."""
+    cfg = write_config(tmp_path, N=3, c0=[1e160, 1e160, 1e160])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "step size underflow" in capsys.readouterr().err
+
+
 def test_blowup_flags_unconverged_laws_at_large_n(tmp_path):
     """At N = 12 and cap 1e10 tau is still too small for the laws: the flag
     is set even though phi_1 spans ten decades."""

@@ -193,6 +193,26 @@ def test_interpolated_samples_match_landed_steps():
             )
 
 
+@pytest.mark.parametrize("midpoints", [False, True])
+def test_grid_points_at_step_ends_are_the_steps_bitwise(midpoints):
+    """A step that ends on a grid point reports its own state there, not an
+    interpolated one: on a grid of a free run's step ends, with or without
+    their midpoints, the samples at step ends equal the free run's bitwise."""
+    span = (0.0, math.log1p(100.0))
+    kwargs = dict(aux_names=DENSITY_AUX, chart="log-t")
+    free = integrate_adaptive(log_density_rate, packed(_DENSE_C0), span, **kwargs)
+    grid = free.abscissae[1:]
+    if midpoints:
+        grid = np.sort(np.concatenate([grid, (free.abscissae[:-1] + grid) / 2]))
+    traj = integrate_adaptive(log_density_rate, packed(_DENSE_C0), span, grid=grid, **kwargs)
+    assert traj.abscissae.tolist() == [0.0, *grid.tolist()]
+    at_ends = np.isin(traj.abscissae, free.abscissae)
+    assert traj.states[at_ends].tobytes() == free.states.tobytes()
+    for name in free.aux:
+        assert traj.aux[name][at_ends].tobytes() == free.aux[name].tobytes()
+    assert traj.stats == free.stats
+
+
 def test_interpolated_zeros_stay_positive_zero():
     traj = integrate_rbk([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 100.0, points_per_decade=320)
     off = traj.states[:, 0::2]
