@@ -11,6 +11,7 @@ digits so the files round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -390,6 +391,7 @@ def cmd_blowup(args) -> int:
         "flags": {"laws_unconverged": True},
         "fitted_laws": None,  # stays None only on a run of fewer than 3 rows
         "theoretical_laws": _law_table(blowup_laws(N)),
+        "integrator": dataclasses.asdict(traj.stats),
     }
     if traj.n_samples >= 3:
         psi = asymptotics.psi_diagnostic(traj)
@@ -630,6 +632,7 @@ def _sweep_cell(cell_id: str, raw: dict, run: dict, outdir: Path) -> dict:
             "final_abscissa": traj.final_abscissa,
             "final_state": list(traj.final_state),
             "n_samples": traj.n_samples,
+            "integrator": dataclasses.asdict(traj.stats),
         }
         if run["chart"] in ("t", "log-t"):
             report["identities"] = harness.identity_suite(traj)

@@ -1,10 +1,12 @@
 """Adaptive integration of the RBK system in its three charts.
 
-One explicit Dormand-Prince 5(4) embedded pair with PI step-size control
-drives everything: density runs of u = (1 + t) c in s = log(1 + t), which
-serve both time charts and differ only in their sample grids, and finite-y
-blowup runs of the phi chart in s = log(1 + tau).  Auxiliary accumulators (the
-chart changes y = int c_N, tau = int c_1 = int phi_1 dy, and int nu) are
+One explicit embedded pair, DOP853 (the Dormand-Prince 8(5,3) pair of
+Hairer, Norsett and Wanner, Solving ODEs I, II.5, with its 7th-order dense
+output, II.6), under Hairer's step-size control drives everything: density
+runs of u = (1 + t) c in s = log(1 + t), which serve both time charts and
+differ only in their sample grids, and finite-y blowup runs of the phi chart
+in s = log(1 + tau), sampled on a grid uniform in s.  Auxiliary accumulators
+(the chart changes y = int c_N, tau = int c_1 = int phi_1 dy, and int nu) are
 appended to the state vector and integrated under the same error control.
 
 The system is non-stiff in every chart at desk scale: the nonlinearity is a
@@ -70,10 +72,10 @@ class IntegrationStats:
     accepted counts accepted steps; rejected_error, rejected_guard and
     rejected_nonfinite count rejected attempts by cause: the local error
     test, a density below -atol, and a stage rate that raised or
-    a non-finite new state or error.  clamped counts accepted steps whose
-    densities were clamped to zero, rhs_evals the calls of the rate function,
-    and h_min/h_max bound the accepted step sizes in the chart's own
-    abscissa.
+    a non-finite new state, rate there, error or dense output.  clamped
+    counts accepted steps whose densities were clamped to zero, rhs_evals
+    the calls of the rate function (dense-output stages included), and
+    h_min/h_max bound the accepted step sizes in the chart's own abscissa.
     """
 
     accepted: int = 0
@@ -234,46 +236,184 @@ def _density_rate(dim: int):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) pair with PI control
+# DOP853: the Dormand-Prince 8(5,3) pair with its 7th-order dense output
 # ---------------------------------------------------------------------------
 
-# (node, row of the Butcher matrix) of stages 2..6, then the 5th-order weights
+# Coefficients of DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, 2nd ed.,
+# II.5 and II.6).  Stages are numbered from 1 as in the book: k[i - 1] holds
+# stage i, k[12] the rate at the new point (stage 13, reused as stage 1 of
+# the next step) and k[13..15] the dense-output stages 14..16.
+
+
+def _row(size, weights):
+    """A row of size weights from {stage number: weight}, zero elsewhere."""
+    row = np.zeros(size)
+    for i, w in weights.items():
+        row[i - 1] = w
+    return row
+
+
+# (node, row of the Butcher matrix) of stages 2..12
 _STAGES = (
-    (1 / 5, np.array([1 / 5])),
-    (3 / 10, np.array([3 / 40, 9 / 40])),
-    (4 / 5, np.array([44 / 45, -56 / 15, 32 / 9])),
-    (8 / 9, np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729])),
-    (1.0, np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])),
+    (0.526001519587677318785587544488e-01, _row(1, {1: 5.26001519587677318785587544488e-2})),
+    (0.789002279381515978178381316732e-01, _row(2, {
+        1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2})),
+    (0.118350341907227396726757197510, _row(3, {
+        1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2})),
+    (0.281649658092772603273242802490, _row(4, {
+        1: 2.41365134159266685502369798665e-1, 3: -8.84549479328286085344864962717e-1,
+        4: 9.24834003261792003115737966543e-1})),
+    (0.333333333333333333333333333333, _row(5, {
+        1: 3.7037037037037037037037037037e-2, 4: 1.70828608729473871279604482173e-1,
+        5: 1.25467687566822425016691814123e-1})),
+    (0.25, _row(6, {
+        1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+        5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2})),
+    (0.307692307692307692307692307692, _row(7, {
+        1: 3.70920001185047927108779319836e-2, 4: 1.70383925712239993810214054705e-1,
+        5: 1.07262030446373284651809199168e-1, 6: -1.53194377486244017527936158236e-2,
+        7: 8.27378916381402288758473766002e-3})),
+    (0.651282051282051282051282051282, _row(8, {
+        1: 6.24110958716075717114429577812e-1, 4: -3.36089262944694129406857109825,
+        5: -8.68219346841726006818189891453e-1, 6: 2.75920996994467083049415600797e1,
+        7: 2.01540675504778934086186788979e1, 8: -4.34898841810699588477366255144e1})),
+    (0.6, _row(9, {
+        1: 4.77662536438264365890433908527e-1, 4: -2.48811461997166764192642586468,
+        5: -5.90290826836842996371446475743e-1, 6: 2.12300514481811942347288949897e1,
+        7: 1.52792336328824235832596922938e1, 8: -3.32882109689848629194453265587e1,
+        9: -2.03312017085086261358222928593e-2})),
+    (0.857142857142857142857142857142, _row(10, {
+        1: -9.3714243008598732571704021658e-1, 4: 5.18637242884406370830023853209,
+        5: 1.09143734899672957818500254654, 6: -8.14978701074692612513997267357,
+        7: -1.85200656599969598641566180701e1, 8: 2.27394870993505042818970056734e1,
+        9: 2.49360555267965238987089396762, 10: -3.0467644718982195003823669022})),
+    (1.0, _row(11, {
+        1: 2.27331014751653820792359768449, 4: -1.05344954667372501984066689879e1,
+        5: -2.00087205822486249909675718444, 6: -1.79589318631187989172765950534e1,
+        7: 2.79488845294199600508499808837e1, 8: -2.85899827713502369474065508674,
+        9: -8.87285693353062954433549289258, 10: 1.23605671757943030647266201528e1,
+        11: 6.43392746015763530355970484046e-1})),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# free 4th-order continuous extension of the pair (Hairer-Norsett-Wanner,
-# Solving ODEs I, II.6; Shampine, Math. Comp. 46, 1986):
-# z(t + theta*h) = z + h * [theta, theta^2, theta^3, theta^4] @ (_P.T @ k)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# the 8th-order weights
+_B = _row(12, {
+    1: 5.42937341165687622380535766363e-2, 6: 4.45031289275240888144113950566,
+    7: 1.89151789931450038304281599044, 8: -5.8012039600105847814672114227,
+    9: 3.1116436695781989440891606237e-1, 10: -1.52160949662516078556178806805e-1,
+    11: 2.01365400804030348374776537501e-1, 12: 4.47106157277725905176885569043e-2,
+})
+# the weights of the 5th-order error estimate, then of the 3rd-order one
+# (_B less the 3rd-order weights bhh)
+_ERR = np.array([
+    _row(12, {
+        1: 0.1312004499419488073250102996e-01, 6: -0.1225156446376204440720569753e+01,
+        7: -0.4957589496572501915214079952, 8: 0.1664377182454986536961530415e+01,
+        9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+        11: 0.8192320648511571246570742613e-01, 12: -0.2235530786388629525884427845e-01,
+    }),
+    _B - _row(12, {
+        1: 0.244094488188976377952755905512, 9: 0.733846688281611857341361741547,
+        12: 0.220588235294117647058823529412e-01,
+    }),
 ])
-_POWERS = np.arange(1, 5)
+# (node, row of the Butcher matrix) of the dense-output stages 14..16
+_DENSE_STAGES = (
+    (0.1, _row(13, {
+        1: 5.61675022830479523392909219681e-2, 7: 2.53500210216624811088794765333e-1,
+        8: -2.46239037470802489917441475441e-1, 9: -1.24191423263816360469010140626e-1,
+        10: 1.5329179827876569731206322685e-1, 11: 8.20105229563468988491666602057e-3,
+        12: 7.56789766054569976138603589584e-3, 13: -8.298e-3})),
+    (0.2, _row(14, {
+        1: 3.18346481635021405060768473261e-2, 6: 2.83009096723667755288322961402e-2,
+        7: 5.35419883074385676223797384372e-2, 8: -5.49237485713909884646569340306e-2,
+        11: -1.08347328697249322858509316994e-4, 12: 3.82571090835658412954920192323e-4,
+        13: -3.40465008687404560802977114492e-4, 14: 1.41312443674632500278074618366e-1})),
+    (0.777777777777777777777777777778, _row(15, {
+        1: -4.28896301583791923408573538692e-1, 6: -4.69762141536116384314449447206,
+        7: 7.68342119606259904184240953878, 8: 4.06898981839711007970213554331,
+        9: 3.56727187455281109270669543021e-1, 13: -1.39902416515901462129418009734e-3,
+        14: 2.9475147891527723389556272149, 15: -9.15095847217987001081870187138})),
+)
+# weights of the top four coefficients of the continuous extension (contd8)
+_D = np.array([
+    _row(16, {
+        1: -0.84289382761090128651353491142e+01, 6: 0.56671495351937776962531783590,
+        7: -0.30689499459498916912797304727e+01, 8: 0.23846676565120698287728149680e+01,
+        9: 0.21170345824450282767155149946e+01, 10: -0.87139158377797299206789907490,
+        11: 0.22404374302607882758541771650e+01, 12: 0.63157877876946881815570249290,
+        13: -0.88990336451333310820698117400e-01, 14: 0.18148505520854727256656404962e+02,
+        15: -0.91946323924783554000451984436e+01, 16: -0.44360363875948939664310572000e+01,
+    }),
+    _row(16, {
+        1: 0.10427508642579134603413151009e+02, 6: 0.24228349177525818288430175319e+03,
+        7: 0.16520045171727028198505394887e+03, 8: -0.37454675472269020279518312152e+03,
+        9: -0.22113666853125306036270938578e+02, 10: 0.77334326684722638389603898808e+01,
+        11: -0.30674084731089398182061213626e+02, 12: -0.93321305264302278729567221706e+01,
+        13: 0.15697238121770843886131091075e+02, 14: -0.31139403219565177677282850411e+02,
+        15: -0.93529243588444783865713862664e+01, 16: 0.35816841486394083752465898540e+02,
+    }),
+    _row(16, {
+        1: 0.19985053242002433820987653617e+02, 6: -0.38703730874935176555105901742e+03,
+        7: -0.18917813819516756882830838328e+03, 8: 0.52780815920542364900561016686e+03,
+        9: -0.11573902539959630126141871134e+02, 10: 0.68812326946963000169666922661e+01,
+        11: -0.10006050966910838403183860980e+01, 12: 0.77771377980534432092869265740,
+        13: -0.27782057523535084065932004339e+01, 14: -0.60196695231264120758267380846e+02,
+        15: 0.84320405506677161018159903784e+02, 16: 0.11992291136182789328035130030e+02,
+    }),
+    _row(16, {
+        1: -0.25693933462703749003312586129e+02, 6: -0.15418974869023643374053993627e+03,
+        7: -0.23152937917604549567536039109e+03, 8: 0.35763911791061412378285349910e+03,
+        9: 0.93405324183624310003907691704e+02, 10: -0.37458323136451633156875139351e+02,
+        11: 0.10409964950896230045147246184e+03, 12: 0.29840293426660503123344363579e+02,
+        13: -0.43533456590011143754432175058e+02, 14: 0.96324553959188282948394950600e+02,
+        15: -0.39177261675615439165231486172e+02, 16: -0.14972683625798562581422125276e+03,
+    }),
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# PI exponents for a 5th-order propagating pair (Gustafsson-style control)
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# step-size exponent of Hairer's controller for an 8th-order pair
+_EXPONENT = 1.0 / 8.0
 # smallest step relative to |t|; below it the step has underflowed
 _H_FLOOR = 16 * np.finfo(float).eps
 
 
+def _error_norm(h, k, scale) -> float:
+    """The error norm of a step of size h, as the code DOP853 takes it:
+    h E5^2 / sqrt(n (E5^2 + 0.01 E3^2)), for E5^2 and E3^2 the sums of
+    squares of the 5th- and 3rd-order estimates over scale, so about the RMS
+    of the 5th-order one while the 3rd-order one is not ten times larger.
+    Non-finite when a sum overflows."""
+    q = (_ERR @ k[:12]) / scale
+    err5, err3 = (q * q).sum(axis=1).tolist()
+    denom = err5 + 0.01 * err3
+    if not math.isfinite(denom):
+        return math.nan
+    return h * err5 / math.sqrt(denom * scale.size) if denom > 0.0 else 0.0
+
+
+def _dense_output(z, z_new, h, k, theta):
+    """States at the step fractions theta in (0, 1) of the step of size h
+    from z to z_new, from DOP853's 7th-order continuous extension (contd8);
+    k holds all 16 stage rates.  Rows are samples."""
+    dz = z_new - z
+    r3 = h * k[0] - dz
+    r4 = dz - h * k[12] - r3
+    d = h * (_D @ k)
+    th = theta[:, None]
+    th1 = 1.0 - th
+    acc = d[2] + th * d[3]
+    acc = d[1] + th1 * acc
+    acc = d[0] + th * acc
+    acc = r4 + th1 * acc
+    acc = r3 + th * acc
+    acc = dz + th1 * acc
+    return z + th * acc
+
+
 def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
-    """Standard two-probe heuristic for the first trial step."""
+    """Standard two-probe heuristic for the first trial step, with the
+    pair's exponent."""
     scale = scale_of(z0)
     d0 = np.sqrt(np.mean((z0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
@@ -288,7 +428,7 @@ def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
     return min(100 * h0, h1, t_span)
 
 
@@ -313,20 +453,28 @@ def integrate_adaptive(
     stop_when=None,
     chart: str = "t",
 ) -> Trajectory:
-    """Adaptive embedded-pair integration of dz/dt = rate(t, z).
+    """Adaptive DOP853 integration of dz/dt = rate(t, z).
 
     z = (x, accumulators): the last len(aux_names) components of z are the
     named accumulators, reported in Trajectory.aux, and the leading ones the
     state x.  rate maps the whole vector, so a chart driver evaluates its
     field and its accumulator rates in one call.
 
-    Local error per step is bounded by atol + rtol*|z| componentwise (RMS
-    norm), with the accumulators part of the controlled vector.
+    Local error per step is measured against atol + rtol*|z| componentwise,
+    with the accumulators part of the controlled vector, in DOP853's norm
+    (_error_norm); a step passes when it is at most 1.  The next step is the
+    last one times 0.9 err^(-1/8), kept within [0.2, 10] times it.  Each
+    attempt costs 12 rate calls, the last at the new point, which an
+    accepted step hands on as the next step's first stage.  A non-finite
+    rate at the initial state fails the run at once.
     Steps are clipped only onto the span end, so the step sequence does not
     depend on the grid.  Without a grid every accepted step is a sample.  With
     one, the samples are the start, every grid point in (start, end] and the
     last point (the span end, or the step that met stop_when); grid points
-    inside a step are filled from the pair's 4th-order continuous extension.
+    strictly inside a step are filled from the pair's 7th-order continuous
+    extension, whose 3 extra rate calls are made only on such a step (and
+    reject it, like a failed stage, when one raises or the samples are not
+    finite).
     State components that are exactly zero with a structurally zero rate stay
     exactly zero, bitwise, at steps and interpolated samples alike.
 
@@ -367,9 +515,11 @@ def integrate_adaptive(
 
     # k[0] always holds the rate at the current (t, z): FSAL after an
     # accepted step, untouched by a rejected one
-    k = np.empty((7, z0.size))
+    k = np.empty((16, z0.size))
     t, z = t0, z0
     k[0] = rate(t, z)
+    if not np.isfinite(k[0]).all():
+        raise IntegrationError(f"non-finite rate at the initial state at {_where(var, t, None)}")
     h = _initial_step(rate, t, z, k[0], t_end - t0, scale_of)
     n_evals = 2  # k[0] and the probe of _initial_step
 
@@ -377,7 +527,6 @@ def integrate_adaptive(
     ts = [t]
     zs = [z]
     grid_idx = 0
-    err_prev = 1.0
     n_attempts = n_accepted = n_clamped = 0
     n_rej_error = n_rej_guard = n_rej_nonfinite = 0
     h_lo, h_hi, h_last = math.inf, 0.0, None
@@ -398,55 +547,69 @@ def integrate_adaptive(
         t_new = t_end if h_step >= t_end - t else t + h_step
 
         n_attempts += 1
-        # a stage rate that raises, a non-finite new state and a non-finite
-        # error norm all leave err non-finite and reject the step
+        # a stage rate that raises, a non-finite new state, rate there or
+        # error norm, and a dense output that fails all leave err non-finite
+        # and reject the step
         stage, err = 0, math.nan
         try:
             for stage, (node, a_row) in enumerate(_STAGES, 1):
                 k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
-            z_new = z + h_step * (_B @ k[:6])
-            stage = 6
-            k[6] = rate(t_new, z_new)
-            if np.isfinite(z_new).all():
-                q = h_step * (_E @ k) / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new)))
-                err = math.sqrt(float((q * q).sum()) / q.size)
+            z_new = z + h_step * (_B @ k[:12])
+            stage = 12
+            k[12] = rate(t_new, z_new)
+            if np.isfinite(z_new).all() and np.isfinite(k[12]).all():
+                scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
+                err = _error_norm(h_step, k, scale)
         except (ValueError, FloatingPointError, OverflowError):
             pass
         n_evals += stage
+
+        if math.isfinite(err):  # so z_new is finite too
+            clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
+            guard_hit = clamp and (z_new[:dim] < -atol).any()
+            if guard_hit:
+                err = max(err, 2.0)
+
+        # the grid points strictly inside a step that passed come from the
+        # continuous extension, whose three stages run only then
+        j = grid_idx
+        if err <= 1.0 and grid is not None:
+            j = int(grid.searchsorted(t_new))
+            if j > grid_idx:
+                stage, block = 12, None
+                try:
+                    for stage, (node, a_row) in enumerate(_DENSE_STAGES, 13):
+                        k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
+                    block = _dense_output(z, z_new, h_step, k, (grid[grid_idx:j] - t) / h_step)
+                except (ValueError, FloatingPointError, OverflowError):
+                    pass
+                n_evals += stage - 12
+                if block is None or not np.isfinite(block).all():
+                    err = math.nan
+
         if not math.isfinite(err):
             n_rej_nonfinite += 1
             h = max(0.1 * h_step, 0.5 * h_min)
             continue
-
-        clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
-        guard_hit = clamp and (z_new[:dim] < -atol).any()
-        if guard_hit:
-            err = max(err, 2.0)
-
         if err > 1.0:
             if guard_hit:
                 n_rej_guard += 1
             else:
                 n_rej_error += 1
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            h = h_step * max(_MIN_FACTOR, _SAFETY * err**-_EXPONENT)
             continue
 
-        # accepted: fill the grid points inside (t, t_new) from the stage
-        # rates of this step, before k[0] moves on; a strictly increasing
-        # grid holds at most one point at t_new itself
-        on_grid = False
-        if grid is not None:
-            j = int(grid.searchsorted(t_new))
-            if j > grid_idx:
-                theta = (grid[grid_idx:j] - t) / h_step
-                block = z + h_step * (theta[:, None] ** _POWERS @ (_P.T @ k))
-                if nonneg_guard:
-                    x = block[:, :dim]
-                    x[x < 0.0] = 0.0
-                ts.extend(grid[grid_idx:j])
-                zs.extend(block)
-            on_grid = j < grid.size and grid[j] == t_new
-            grid_idx = j + 1 if on_grid else j
+        # accepted: the block was filled from this step's stage rates before
+        # k[0] moves on; a strictly increasing grid holds at most one point
+        # at t_new itself
+        if j > grid_idx:
+            if nonneg_guard:
+                x = block[:, :dim]
+                x[x < 0.0] = 0.0
+            ts.extend(grid[grid_idx:j])
+            zs.extend(block)
+        on_grid = grid is not None and j < grid.size and grid[j] == t_new
+        grid_idx = j + 1 if on_grid else j
 
         t, z = t_new, z_new
         n_accepted += 1
@@ -460,7 +623,7 @@ def integrate_adaptive(
             k[0] = rate(t, z)
             n_evals += 1
         else:
-            k[0] = k[6]
+            k[0] = k[12]
 
         if stop_when is not None and stop_when(t, z):
             stopped = True
@@ -470,10 +633,9 @@ def integrate_adaptive(
         if stopped:
             break
 
-        err = max(err, 1e-10)
-        factor = min(_MAX_FACTOR, _SAFETY * err**-_PI_ALPHA * err_prev**_PI_BETA)
-        h = max(h_step * max(factor, _MIN_FACTOR), 0.0)
-        err_prev = err
+        # err <= 1 here, so the factor is at least _SAFETY; the floor keeps
+        # an exact zero error from dividing by zero
+        h = h_step * min(_MAX_FACTOR, _SAFETY * max(err, 1e-10) ** -_EXPONENT)
 
     zs_arr = np.asarray(zs)
     aux = {name: zs_arr[:, dim + i] for i, name in enumerate(aux_names)}
@@ -554,6 +716,11 @@ def integrate_logtime(
     return _density_run("log-t", c0, t_end, settings, points_per_decade)
 
 
+# rows of the phi chart's sample grid per decade of phi_1 near blowup: enough
+# for the fits over the top two decades (asymptotics.blowup_diagnostic)
+_PHI_ROWS_PER_DECADE = 4
+
+
 def integrate_phi_to_blowup(
     phi0,
     cap: float = 1e10,
@@ -570,7 +737,10 @@ def integrate_phi_to_blowup(
     with F = core.phi_field.  psi_{N-1} has rate 1 in tau, so it is
     tau + phi_{N-1}(0) exactly and is not integrated.  Near blowup
     psi_j ~ tau^(N-j)/(N-j)!, so w is asymptotically linear in s and the
-    pair's steps grow.
+    pair's steps grow.  The run is sampled on a grid uniform in s with
+    _PHI_ROWS_PER_DECADE rows per decade of phi_1 ~ tau^(N-1)/(N-1)!, up to
+    just past s_cap = log(1 + ((N-1)! cap)^(1/(N-1))), where
+    psi_1 >= tau^(N-1)/(N-1)! has reached the cap.
 
     Since psi_j >= tau^(N-j)/(N-j)!, the tail omega - y = int dtau/psi_1 past
     tau is at most (N-1)!/(N-2) tau^(2-N).  The run stops once psi_1 >= cap
@@ -599,6 +769,10 @@ def integrate_phi_to_blowup(
     last0 = float(phi0[-1])
     tail_factor = checked_factorial(n - 1) / (n - 2)
     eps = float(np.finfo(float).eps)
+    ds = math.log(10.0) / ((n - 1) * _PHI_ROWS_PER_DECADE)
+    # in logs, so that no cap overflows ((N-1)! cap)
+    s_cap = math.log1p(math.exp((math.lgamma(n) + math.log(cap)) / (n - 1)))
+    grid = ds * np.arange(1, int(s_cap / ds) + 2)
 
     def rate(s, z):
         tau = math.expm1(s)
@@ -627,6 +801,7 @@ def integrate_phi_to_blowup(
             np.append(np.log(phi0[:dim]), 0.0),
             (0.0, np.inf),
             settings,
+            grid=grid,
             aux_names=("y",),
             nonneg_guard=False,
             stop_when=converged,

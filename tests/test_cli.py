@@ -1,6 +1,7 @@
 """CLI surface: config handling, exit codes, CSV/JSON round trips,
 determinism, verification suites, and sweeps."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbklab import asymptotics, cli, core, harness
+from rbklab import integrate as integrate_module
 from rbklab.cli import (
     ConfigError,
     main,
@@ -23,6 +25,7 @@ from rbklab.cli import (
     write_trajectory_csv,
 )
 from rbklab.integrate import (
+    IntegratorSettings,
     Trajectory,
     integrate_logtime,
     integrate_phi_to_blowup,
@@ -447,6 +450,21 @@ def test_blowup_report(tmp_path):
     assert data[-1, 1] >= 1e8 and np.all(data[:-1, 1] < 1e8)
 
 
+def test_blowup_report_holds_the_integrator_stats(tmp_path):
+    """The report names what the integrator did on the run, counter for
+    counter, and repeats byte for byte."""
+    cfg = write_config(tmp_path, N=5, c0={"uniform": {}})
+    out = tmp_path / "blowup.csv"
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    first = out.with_suffix(".report.json").read_bytes()
+    stats = integrate_phi_to_blowup(np.ones(4), 1e10)[0].stats
+    got = json.loads(first)["integrator"]
+    assert (got["accepted"], got["rhs_evals"]) == (stats.accepted, stats.rhs_evals)
+    assert got == dataclasses.asdict(stats)
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    assert out.with_suffix(".report.json").read_bytes() == first
+
+
 def test_blowup_small_cap_flags_short_window(tmp_path):
     """A window too short for the laws is flagged by the psi residuals at the
     last row; the fits are reported all the same."""
@@ -459,8 +477,8 @@ def test_blowup_small_cap_flags_short_window(tmp_path):
 
 
 def test_blowup_cap_crossed_in_one_step_reports_no_fits(tmp_path):
-    """A cap crossed by the first step leaves two rows: omega is still
-    resolved, and there is nothing to fit."""
+    """A cap crossed before the first grid row leaves two rows: omega is
+    still resolved, and there is nothing to fit."""
     cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=1.0000001)
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
@@ -534,12 +552,25 @@ def test_blowup_overflowing_trial_stage_raises_no_warning(tmp_path):
     assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
 
 
-def test_simulate_overflowing_initial_data_exits_2_without_a_warning(tmp_path, capsys):
-    """The field of c0 = 1e160 overflows in the first step: the run fails on
-    the step-underflow guard and exits 2, with no numpy warning on the way."""
+def test_simulate_overflowing_initial_data_exits_2_without_a_warning(
+    tmp_path, capsys, monkeypatch
+):
+    """The field of c0 = 1e160 overflows at the initial state: the run fails
+    after that one rate call, naming the non-finite rate and s = 0, and exits
+    2, with no numpy warning on the way."""
+    calls = []
+    field = integrate_module.rbk_field
+
+    def counted(c):
+        calls.append(c)
+        return field(c)
+
+    monkeypatch.setattr(integrate_module, "rbk_field", counted)
     cfg = write_config(tmp_path, N=3, c0=[1e160, 1e160, 1e160])
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "step size underflow" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite rate at the initial state at s=0 (no step accepted)" in err
+    assert len(calls) == 1
 
 
 def test_blowup_flags_unconverged_laws_at_large_n(tmp_path):
@@ -784,6 +815,13 @@ def test_sweep_grid(tmp_path):
     for cell in manifest["cells"]:
         assert (outdir / cell["csv"]).exists()
         assert (outdir / cell["report"]).exists()
+    # each cell's report names what the integrator did on its run
+    cell = manifest["cells"][-1]
+    assert cell["params"]["N"] == 4 and cell["params"]["rtol"] == 1e-9
+    got = json.loads((outdir / cell["report"]).read_text())["integrator"]
+    stats = integrate_rbk(np.ones(4), 2.0, IntegratorSettings(rtol=1e-9)).stats
+    assert (got["accepted"], got["rhs_evals"]) == (stats.accepted, stats.rhs_evals)
+    assert got == dataclasses.asdict(stats)
 
 
 def test_sweep_cell_matches_single_run_bitwise(tmp_path):

@@ -46,6 +46,20 @@ def test_module_imports_core_only(module):
     assert imported == {"core"}
 
 
+def test_no_module_imports_scipy():
+    """The integrator's tables are typed in, not taken from scipy, which the
+    package does not depend on."""
+    for path in Path(integrate.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
 def test_rk4_quadratic_decay_closed_form():
     final = rk4_reference(lambda t, x: -x * x, [1.0], 1e-4, (0.0, 9.0))
     assert abs(final[0] - 0.1) < 1e-12

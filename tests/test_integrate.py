@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rbklab import integrate
+from rbklab import asymptotics, integrate
 from rbklab.core import phi_field, rbk_field
 from rbklab.integrate import (
     BlowupEstimate,
@@ -23,6 +23,7 @@ from rbklab.integrate import (
 )
 
 RTOL = IntegratorSettings().rtol
+EPS = np.finfo(float).eps
 DENSITY_AUX = ("y", "tau", "nu_int")
 
 
@@ -55,6 +56,65 @@ def log_psi_rate(s, z, last0):
     psi = np.concatenate([np.exp(z[:-1]), [tau + last0]])
     g = (1.0 + tau) / psi[0]
     return np.concatenate([g * phi_field(psi)[:-1] / psi[:-1], [g]])
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 tableau, checked without a reference implementation
+# ---------------------------------------------------------------------------
+
+_NODES = np.array([0.0, *(node for node, _ in integrate._STAGES)])
+
+
+def _near_zero(value, weights):
+    """|value| within the rounding of a sum of the given terms."""
+    return abs(value) <= 4 * EPS * np.abs(weights).sum()
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    for node, row in integrate._STAGES + integrate._DENSE_STAGES:
+        assert _near_zero(row.sum() - node, row), node
+
+
+def test_tableau_weights_meet_the_quadrature_conditions_to_order_8():
+    for q in range(1, 9):
+        terms = integrate._B * _NODES ** (q - 1)
+        assert _near_zero(terms.sum() - 1.0 / q, terms), q
+
+
+def test_error_weights_sum_to_zero():
+    for weights in integrate._ERR:
+        assert _near_zero(weights.sum(), weights)
+
+
+def test_continuous_extension_meets_the_step_ends():
+    rng = np.random.default_rng(5)
+    z, z_new = rng.uniform(-2.0, 2.0, (2, 4))
+    k = rng.standard_normal((16, 4))
+    ends = integrate._dense_output(z, z_new, 0.3, k, np.array([0.0, 1.0]))
+    assert ends[0].tobytes() == z.tobytes()
+    assert np.all(np.abs(ends[1] - z_new) <= np.spacing(np.maximum(abs(z), abs(z_new))))
+
+
+def _fixed_steps(rate, y0, t_end, n):
+    """n equal steps of the 8th-order weights of the pair."""
+    h = t_end / n
+    y = np.array([y0])
+    k = np.empty((12, 1))
+    for i in range(n):
+        t = i * h
+        k[0] = rate(t, y)
+        for stage, (node, a_row) in enumerate(integrate._STAGES, 1):
+            k[stage] = rate(t + node * h, y + h * (a_row @ k[:stage]))
+        y = y + h * (integrate._B @ k)
+    return float(y[0])
+
+
+def test_pair_converges_with_order_8():
+    """y' = 1 + y^2, y(0) = 0 has y = tan(t): halving the step on [0, 1.2]
+    divides the error by at least 2^7.5."""
+    errors = [abs(_fixed_steps(lambda t, y: 1.0 + y * y, 0.0, 1.2, n) - math.tan(1.2))
+              for n in (20, 40)]
+    assert math.log2(errors[0] / errors[1]) >= 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +270,9 @@ def test_grid_points_at_step_ends_are_the_steps_bitwise(midpoints):
     assert traj.states[at_ends].tobytes() == free.states.tobytes()
     for name in free.aux:
         assert traj.aux[name][at_ends].tobytes() == free.aux[name].tobytes()
-    assert traj.stats == free.stats
+    # a midpoint costs its step the three stages of the continuous extension
+    dense_evals = 3 * free.stats.accepted if midpoints else 0
+    assert traj.stats == replace(free.stats, rhs_evals=free.stats.rhs_evals + dense_evals)
 
 
 def test_interpolated_zeros_stay_positive_zero():
@@ -232,9 +294,9 @@ def test_integration_stats_count_rejections_and_evaluations():
     stats = integrate_adaptive(field, [0.5, 1.0], (0.0, 1.0), settings).stats
     assert stats.rejected_guard > 0 and stats.clamped > 0
     assert stats.rejected == stats.rejected_error + stats.rejected_guard
-    # k[0], the initial-step probe, six stages per attempt, one per clamp
+    # k[0], the initial-step probe, twelve stages per attempt, one per clamp
     assert stats.rhs_evals == len(calls)
-    assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected) + stats.clamped
+    assert stats.rhs_evals == 2 + 12 * (stats.accepted + stats.rejected) + stats.clamped
     assert 0.0 < stats.h_min <= stats.h_max <= 1.0
 
 
@@ -252,9 +314,10 @@ def test_integration_stats_count_failed_stages():
     assert stats.rhs_evals == len(calls)
 
 
-# a NaN from the third stage makes the new state non-finite; one from the
-# last stage leaves the new state finite and its error estimate not
-@pytest.mark.parametrize("bad_call", [5, 8])
+# a NaN from the fourth or the seventh stage makes the new state non-finite;
+# one from the rate at the new point (call 14) leaves the new state and the
+# error estimate finite, and rejects the step all the same
+@pytest.mark.parametrize("bad_call", [5, 8, 14])
 def test_integration_stats_count_non_finite_attempts(bad_call):
     calls = []
 
@@ -265,6 +328,29 @@ def test_integration_stats_count_non_finite_attempts(bad_call):
     stats = integrate_adaptive(field, [1.0], (0.0, 1.0)).stats
     assert stats.rejected_nonfinite == 1
     assert stats.rhs_evals == len(calls)
+
+
+# the first step, about 0.04 long, passes the error test and holds the grid
+# point 0.01: calls 15..17 are the stages of its continuous extension
+@pytest.mark.parametrize("bad_call, bad", [(15, "raise"), (17, "nan")])
+def test_failed_dense_output_rejects_the_step(bad_call, bad):
+    """A dense-output stage that raises or returns NaN rejects its step like
+    a failed stage: the run goes on, and the rejection and calls count."""
+    calls = []
+
+    def field(t, x):
+        calls.append(t)
+        if len(calls) == bad_call:
+            if bad == "raise":
+                raise ValueError("stage outside the domain")
+            return np.full_like(x, np.nan)
+        return -x
+
+    traj = integrate_adaptive(field, [1.0], (0.0, 1.0), grid=[0.01, 0.5])
+    assert traj.stats.rejected_nonfinite == 1
+    assert traj.stats.rhs_evals == len(calls)
+    assert traj.abscissae.tolist() == [0.0, 0.01, 0.5, 1.0]
+    assert_allclose(traj.states[:, 0], np.exp(-traj.abscissae), rtol=100 * RTOL, atol=0.0)
 
 
 def test_max_steps_exhaustion():
@@ -288,14 +374,18 @@ def test_span_validation():
 
 
 def test_nan_step_size_fails_fast():
-    """A NaN trial step (here from a NaN rate) raises at once instead of
-    spinning through the attempt budget."""
+    """A NaN rate at the initial state raises after that one call, naming
+    it, instead of spinning through the attempt budget on NaN trial steps."""
+    calls = []
 
     def field(t, x):
+        calls.append(t)
         return np.full(2, np.nan)
 
-    with pytest.raises(IntegrationError, match=r"underflow at t=0 \(no step accepted\)"):
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite rate at the initial state at t=0 \(no step accepted\)"):
         integrate_adaptive(field, [1.0, 1.0], (0.0, 1.0), IntegratorSettings(max_steps=1000))
+    assert calls == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +493,18 @@ def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, n, cap, rtol):
     assert estimate.uncertainty <= (rtol + 4 * np.finfo(float).eps) * estimate.omega
 
 
-def test_blowup_trajectory_rows_stop_at_the_cap():
+def test_blowup_trajectory_rows_stop_at_the_cap(monkeypatch):
     """The run goes past the cap to resolve omega; the rows end at the first
     sample with phi_1 >= cap, start at phi0 bitwise, and keep
     phi_{N-1} = tau + phi_{N-1}(0)."""
+    runs = []
+    real = integrate.integrate_adaptive
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrate, "integrate_adaptive", spy)
     phi0 = np.array([0.7, 1.3, 2.1])
     traj, _ = integrate_phi_to_blowup(phi0, cap=1e6)
     phi1 = traj.states[:, 0]
@@ -415,7 +513,22 @@ def test_blowup_trajectory_rows_stop_at_the_cap():
     tau = traj.aux["tau"]
     assert tau[0] == 0.0 and traj.abscissae[0] == 0.0
     assert traj.states[:, -1].tobytes() == (tau + phi0[-1]).tobytes()
-    assert traj.stats.accepted > traj.n_samples - 1
+    # the integration itself ended beyond the last row, in s = log(1 + tau)
+    (run,) = runs
+    assert run.final_abscissa > math.log1p(tau[-1])
+    assert run.aux["y"][-1] > traj.abscissae[-1]
+
+
+def test_blowup_fit_window_holds_eight_rows():
+    """The sample grid puts at least 8 rows in the top two decades of phi_1,
+    the window of the blowup fits, so they never fall back to the whole run."""
+    for n in range(3, 17):
+        for c0 in (np.ones(n), np.random.default_rng(n).uniform(0.1, 1.0, n)):
+            traj, estimate = integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
+            lo, hi = asymptotics.blowup_diagnostic(traj, estimate.omega).window
+            y = traj.abscissae
+            assert lo > y[0] and hi == y[-1]
+            assert ((y >= lo) & (y <= hi)).sum() >= 8, (n, c0)
 
 
 def test_blowup_rejects_bad_initial_data():
@@ -550,10 +663,17 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     traj, estimate = integrate_phi_to_blowup(phi0, cap)
     tail_factor = math.factorial(n - 1) / (n - 2)
     eps = np.finfo(float).eps
+    # 4 rows per decade of phi_1 ~ tau^(N-1)/(N-1)!, to just past the s where
+    # that lower bound of psi_1 reaches the cap
+    ds = math.log(10.0) / ((n - 1) * 4)
+    s_cap = math.log1p((math.factorial(n - 1) * cap) ** (1.0 / (n - 1)))
+    grid = ds * np.arange(1, int(s_cap / ds) + 2)
+    assert grid[-2] <= s_cap < grid[-1]
     run = integrate_adaptive(
         lambda s, z: log_psi_rate(s, z, phi0[-1]),
         np.append(np.log(phi0[:-1]), 0.0),
         (0.0, np.inf),
+        grid=grid,
         aux_names=("y",),
         nonneg_guard=False,
         stop_when=lambda s, z: (
