@@ -36,10 +36,10 @@ from .integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    grid_times,
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
+    sample_grid,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -229,7 +229,7 @@ def resolve_run(raw: dict) -> dict:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
     elif points_per_decade > 0 or chart == "log-t":  # the runs that build a sample grid
         try:
-            grid = grid_times(chart, t_end, points_per_decade)
+            grid = sample_grid(chart, t_end, points_per_decade)[1]
         except (ValueError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"no sample grid to t_end={t_end}: {exc}") from exc
     verify_theorem = raw.get("verify_theorem", False)
@@ -563,16 +563,11 @@ def _theorem_constants_checks(args) -> list:
     traj = _simulate_trajectory(run)
 
     def final_decades(diags):
-        # max |e_j| at t_end and one/two decades earlier
-        out = []
-        for frac in (1e-4, 1e-2, 1.0):
-            tt = run["t_end"] * frac
-            vals = []
-            for d in diags.values():
-                i = int(np.argmin(np.abs(d.abscissae - tt)))
-                vals.append(abs(float(d.residuals[i])))
-            out.append(max(vals))
-        return out
+        # max |e_j| four and two decades before t_end and at t_end; every
+        # series of one diagnostic shares the run's abscissae
+        t = next(iter(diags.values())).abscissae
+        rows = [int(np.argmin(np.abs(t - run["t_end"] * frac))) for frac in (1e-4, 1e-2, 1.0)]
+        return np.abs([d.residuals[rows] for d in diags.values()]).max(axis=0).tolist()
 
     red = final_decades(asymptotics.longtime_diagnostic(traj, variant="reduction"))
     amb = final_decades(asymptotics.longtime_diagnostic(traj, variant="ambient"))

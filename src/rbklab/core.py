@@ -314,14 +314,16 @@ def blowup_laws(N: int) -> dict[int, AsymptoticLaw]:
 # ---------------------------------------------------------------------------
 
 
-def nu_odd_closed(nu0: float, t: float) -> float:
+def nu_odd_closed(nu0: float, t):
     """Exact decay of the odd-subscript density: nu_odd solves
-    d(nu_odd)/dt = -nu_odd^2, hence nu_odd(t) = 1/(nu_odd(0)^-1 + t)."""
-    if nu0 < 0 or t < 0:
+    d(nu_odd)/dt = -nu_odd^2, hence nu_odd(t) = 1/(nu_odd(0)^-1 + t).  t is
+    a time or an array of times; the result is a float or an array of t's
+    shape."""
+    t = np.asarray(t, dtype=float)
+    if nu0 < 0 or (t < 0).any():
         raise ValueError("nu_odd_closed requires nonnegative arguments")
-    if nu0 == 0:
-        return 0.0
-    return 1.0 / (1.0 / nu0 + t)
+    out = np.zeros_like(t) if nu0 == 0 else 1.0 / (1.0 / nu0 + t)
+    return float(out) if out.ndim == 0 else out
 
 
 def self_similar(alpha: float, kappa: float, t: float, N: int) -> np.ndarray:

@@ -32,11 +32,11 @@ __all__ = [
     "IntegratorSettings",
     "Trajectory",
     "geometric_grid",
-    "grid_times",
     "integrate_adaptive",
     "integrate_logtime",
     "integrate_phi_to_blowup",
     "integrate_rbk",
+    "sample_grid",
 ]
 
 
@@ -183,7 +183,7 @@ def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndar
 _T_GRID_DECADES = 6.0
 
 
-def _sample_grid(chart: str, t_end: float, points_per_decade: int):
+def sample_grid(chart: str, t_end: float, points_per_decade: int):
     """(s, t) of the sample grid of a "t" or "log-t" run to t_end: both start
     at 0 and end on the run's span end in s = log(1 + t).  The log-t grid is
     uniform in s, the logs of a geometric grid over [1, 1 + t_end], reported
@@ -199,12 +199,6 @@ def _sample_grid(chart: str, t_end: float, points_per_decade: int):
         t = geometric_grid(t_end * 10.0 ** (-_T_GRID_DECADES), t_end, points_per_decade)
     t = np.concatenate(([0.0], t))
     return np.log1p(t), t
-
-
-def grid_times(chart: str, t_end: float, points_per_decade: int):
-    """The t of every sample that a "t" or "log-t" run to t_end with
-    points_per_decade > 0 reports, the start t = 0 first (see _sample_grid)."""
-    return _sample_grid(chart, t_end, points_per_decade)[1]
 
 
 # accumulators of the density charts: y = int c_N dt, tau = int c_1 dt and
@@ -667,7 +661,7 @@ def integrate_adaptive(
 def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajectory:
     """Both time charts are this one run of u = (1 + t) c in s = log(1 + t),
     where du/ds = u + field(u), from s = 0 to the end of the chart's sample
-    grid (_sample_grid).  By the long-time law c_j ~ A_j / (t (log t)^(j-1)),
+    grid (sample_grid).  By the long-time law c_j ~ A_j / (t (log t)^(j-1)),
     u stays O(1), so error control keeps its relative meaning as c decays.
 
     The run is sampled on the grid and reported at the grid's t or, when
@@ -675,7 +669,7 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
     and the last at the grid's end.  States are reported as c = e^-s u, and a
     failure names s.
     """
-    s_grid, t_grid = _sample_grid(chart, t_end, points_per_decade)
+    s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     c0 = np.asarray(c0, dtype=float)
     run = integrate_adaptive(
         _density_rate(c0.size),

@@ -606,6 +606,20 @@ def test_cap_beyond_the_resolution_of_y_exits_2_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+@pytest.mark.parametrize("N, below, ceiling", [(3, "1e30", "1e31"), (5, "1e21", "1e22"),
+                                             (16, "1e17", "1e18")])
+def test_blowup_cap_ceiling_of_y_resolution(tmp_path, capsys, N, below, ceiling):
+    """With c0 = ones, y's resolution ceiling starts at the caps README names:
+    one decade below, blowup runs; at the ceiling it exits 2 and names the
+    cause."""
+    cfg = write_config(tmp_path, N=N, c0={"uniform": {}})
+    out = ["--out", str(tmp_path / "x.csv")]
+    assert main(["blowup", "--config", cfg, "--cap", below, *out]) == 0
+    capsys.readouterr()
+    assert main(["blowup", "--config", cfg, "--cap", ceiling, *out]) == 2
+    assert "double-precision resolution" in capsys.readouterr().err
+
+
 def test_blowup_value_error_after_the_inputs_passed_exits_2(tmp_path, capsys, monkeypatch):
     """Only input validation exits 3: a ValueError raised once the run has
     started is a numerical failure, and the command writes nothing."""
@@ -678,6 +692,16 @@ def test_verify_identities_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS nu_odd closed form" in out
     assert "FAIL" not in out
+
+
+def test_verify_identities_past_the_underflow_of_nu_squared_exits_2(tmp_path, capsys):
+    """At t = 1e200 the dissipation identity underflows: a numerical verdict
+    (exit 2) that names it, not an overflow warning (exit 1)."""
+    cfg = write_config(tmp_path, N=3, t_end=1e200)
+    assert main(["verify", "identities", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "PASS nu_odd closed form" in out
+    assert "FAIL density dissipation identity: max rel err inf" in out
 
 
 def test_verify_support_passes(capsys):
@@ -837,6 +861,18 @@ def test_sweep_cell_matches_single_run_bitwise(tmp_path):
     # the theorem report lands beside the CSV, as simulate writes it
     cell_report = outdir / "cell000" / "trajectory.report.json"
     assert cell_report.read_bytes() == single_out.with_suffix(".report.json").read_bytes()
+
+
+def test_sweep_to_1e300_runs_every_cell_and_flags_the_dissipation_identity(tmp_path):
+    cfg = write_config(tmp_path, base={"N": 3, "t_end": 1e300},
+                       grid={"N": [3, 16], "chart": ["t", "log-t"]})
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [cell["status"] for cell in manifest["cells"]] == ["ok"] * 4
+    for cell in manifest["cells"]:
+        identities = json.loads((outdir / cell["report"]).read_text())["identities"]
+        assert not identities["dissipation"]["ok"] and not identities["passed"]
 
 
 def test_sweep_logtime_runs_a_t_end_below_one(tmp_path):

@@ -287,6 +287,17 @@ def test_nu_odd_closed():
         nu_odd_closed(1.0, -0.5)
 
 
+def test_nu_odd_closed_on_an_array_matches_the_scalar_form_bitwise():
+    t = np.concatenate([[0.0], np.geomspace(1e-6, 1e300, 97)])
+    for nu0 in (0.37, 2.0, np.float64(3.4869)):
+        closed = nu_odd_closed(nu0, t)
+        assert closed.shape == t.shape
+        assert closed.tobytes() == np.array([nu_odd_closed(nu0, ti) for ti in t]).tobytes()
+    assert nu_odd_closed(0.0, t).tobytes() == np.zeros_like(t).tobytes()
+    with pytest.raises(ValueError):
+        nu_odd_closed(1.0, np.array([0.0, 1.0, -1e-300]))
+
+
 def test_self_similar_values():
     c = self_similar(0.5, 1.0, 0.0, 2)
     assert_allclose(c, [0.75, 0.375], rtol=0)

@@ -4,6 +4,7 @@ the self-similar truncated oracle, and the fixture protocol."""
 import ast
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,32 @@ def test_identity_suite_negative_control(identity_run):
     report = identity_suite(corrupted)
     assert not report["passed"]
     assert not (report["c_last"]["ok"] and report["dissipation"]["ok"])
+
+
+@pytest.mark.parametrize("driver", [integrate_rbk, integrate.integrate_logtime])
+def test_identity_suite_to_1e300_raises_no_warning_and_fails_dissipation(driver):
+    """Far out, nu^2 + sum c^2 underflows to 0 while nu > 0: the dissipation
+    identity cannot be checked there, so it does not hold.  Its derivative,
+    taken in s = log(1 + t), overflows nowhere."""
+    traj = driver(np.ones(3), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = identity_suite(traj)
+    assert report["dissipation"]["max_rel_err"] == np.inf
+    assert not report["dissipation"]["ok"]
+    assert not report["passed"]
+
+
+def test_identity_suite_underflowed_dissipation_is_not_ok():
+    """nu = 1e-170 squares to 0, so every row reads 0 = 0 and checks nothing:
+    the identity must not pass vacuously."""
+    traj = Trajectory(
+        "t", [0.0, 1.0, 2.0, 3.0], [[1e-170]] * 4,
+        aux={"nu_int": [0.0, 1e-170, 2e-170, 3e-170]},
+    )
+    report = identity_suite(traj)
+    assert report["nu_odd"]["ok"] and report["c_last"]["ok"]
+    assert not report["dissipation"]["ok"]
 
 
 def test_identity_suite_requires_accumulator():
