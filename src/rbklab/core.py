@@ -124,10 +124,11 @@ def rbk_field(c) -> np.ndarray:
     component is exactly -c_N * nu.
 
     c must be a nonempty 1-D vector of finite numbers; anything else raises
-    _as_vector's ValueError.  Its finiteness pass runs only when the lag-0
-    autocorrelation sum_k c_k^2, which the field computes anyway, is not
-    finite; that sum is finite whenever every c_k is, unless it overflows,
-    and then the pass finds c finite and the field is returned.
+    _as_vector's ValueError.  The shape is tested on every call (c.ndim and
+    c.size), the entries only when the lag-0 autocorrelation sum_k c_k^2,
+    which the field computes anyway, is not finite; that sum is finite
+    whenever every c_k is, unless it overflows, and then _as_vector finds c
+    finite and the field is returned.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size < 1:
@@ -139,7 +140,7 @@ def rbk_field(c) -> np.ndarray:
         _as_vector(c)
     prod = np.zeros(n)
     prod[: n - 1] = corr[n:]
-    return prod - c * c.sum()
+    return prod - c * np.add.reduce(c)
 
 
 # phi_N == 1, appended to the stored components on every phi-field call
@@ -157,13 +158,15 @@ def phi_field(phi) -> np.ndarray:
 
     phi must be a nonempty 1-D vector of finite positive numbers; anything
     else raises the ValueError of _as_vector or of the positivity check, in
-    that order.  Both checks run only when phi > 0 fails somewhere (NaN
-    fails it too) or the lag-0 autocorrelation 1 + sum_j phi_j^2, which the
-    field computes anyway, is not finite (+inf makes it so); an overflow of
-    finite data passes them and returns the field.
+    that order (_check_phi).  Both checks run only when the shape is wrong,
+    when np.minimum.reduce(phi) > 0 fails (a NaN anywhere makes the minimum
+    NaN, which fails it too), or when the lag-0 autocorrelation
+    1 + sum_j phi_j^2, which the field computes anyway, is not finite (+inf
+    makes it so); an overflow of finite data passes them and returns the
+    field.
     """
     phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or phi.size < 1 or not (phi > 0).all():
+    if phi.ndim != 1 or phi.size < 1 or not np.minimum.reduce(phi) > 0:
         _check_phi(phi)
     full = np.concatenate((phi, _ONE))
     n = full.size

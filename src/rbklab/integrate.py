@@ -219,11 +219,10 @@ def _density_rate(dim: int):
         out = np.empty(n)
         # looked up at call time, so a wrapper installed on the module
         # attribute (the benchmark's traced run) sees every field call
-        out[:dim] = rbk_field(u)
-        out[:dim] += u
+        np.add(rbk_field(u), u, out=out[:dim])
         out[dim] = u[-1]
         out[dim + 1] = u[0]
-        out[dim + 2] = u.sum()
+        out[dim + 2] = np.add.reduce(u)
         return out
 
     return rate
@@ -372,14 +371,22 @@ _EXPONENT = 1.0 / 8.0
 _H_FLOOR = 16 * np.finfo(float).eps
 
 
+def _all_finite(x) -> bool:
+    """Every entry of x is finite; the ufunc reduce skips ndarray.all's
+    Python-level wrapper."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def _error_norm(h, k, scale) -> float:
     """The error norm of a step of size h, as the code DOP853 takes it:
     h E5^2 / sqrt(n (E5^2 + 0.01 E3^2)), for E5^2 and E3^2 the sums of
     squares of the 5th- and 3rd-order estimates over scale, so about the RMS
     of the 5th-order one while the 3rd-order one is not ten times larger.
     Non-finite when a sum overflows."""
-    q = (_ERR @ k[:12]) / scale
-    err5, err3 = (q * q).sum(axis=1).tolist()
+    q = _ERR @ k[:12]
+    q /= scale
+    q *= q
+    err5, err3 = np.add.reduce(q, axis=1).tolist()
     denom = err5 + 0.01 * err3
     if not math.isfinite(denom):
         return math.nan
@@ -393,16 +400,17 @@ def _dense_output(z, z_new, h, k, theta):
     dz = z_new - z
     r3 = h * k[0] - dz
     r4 = dz - h * k[12] - r3
-    d = h * (_D @ k)
+    d = _D @ k
+    d *= h
     th = theta[:, None]
     th1 = 1.0 - th
-    acc = d[2] + th * d[3]
-    acc = d[1] + th1 * acc
-    acc = d[0] + th * acc
-    acc = r4 + th1 * acc
-    acc = r3 + th * acc
-    acc = dz + th1 * acc
-    return z + th * acc
+    # Horner from the top coefficient, th and 1 - th alternating
+    acc = th * d[3]
+    for coef, factor in ((d[2], th1), (d[1], th), (d[0], th1), (r4, th), (r3, th1), (dz, th)):
+        acc += coef
+        acc *= factor
+    acc += z
+    return acc
 
 
 def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
@@ -512,7 +520,7 @@ def integrate_adaptive(
     k = np.empty((16, z0.size))
     t, z = t0, z0
     k[0] = rate(t, z)
-    if not np.isfinite(k[0]).all():
+    if not _all_finite(k[0]):
         raise IntegrationError(f"non-finite rate at the initial state at {_where(var, t, None)}")
     h = _initial_step(rate, t, z, k[0], t_end - t0, scale_of)
     n_evals = 2  # k[0] and the probe of _initial_step
@@ -551,16 +559,20 @@ def integrate_adaptive(
             z_new = z + h_step * (_B @ k[:12])
             stage = 12
             k[12] = rate(t_new, z_new)
-            if np.isfinite(z_new).all() and np.isfinite(k[12]).all():
-                scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
+            if _all_finite(z_new) and _all_finite(k[12]):
+                scale = np.abs(z)
+                np.maximum(scale, np.abs(z_new), out=scale)
+                scale *= rtol
+                scale += atol
                 err = _error_norm(h_step, k, scale)
         except (ValueError, FloatingPointError, OverflowError):
             pass
         n_evals += stage
 
-        if math.isfinite(err):  # so z_new is finite too
-            clamp = nonneg_guard and (z_new[:dim] < 0.0).any()
-            guard_hit = clamp and (z_new[:dim] < -atol).any()
+        clamp = guard_hit = False
+        if nonneg_guard and math.isfinite(err):  # so z_new is finite too
+            low = np.minimum.reduce(z_new[:dim])
+            clamp, guard_hit = low < 0.0, low < -atol
             if guard_hit:
                 err = max(err, 2.0)
 
@@ -578,7 +590,7 @@ def integrate_adaptive(
                 except (ValueError, FloatingPointError, OverflowError):
                     pass
                 n_evals += stage - 12
-                if block is None or not np.isfinite(block).all():
+                if block is None or not _all_finite(block):
                     err = math.nan
 
         if not math.isfinite(err):
@@ -770,8 +782,8 @@ def integrate_phi_to_blowup(
 
     def rate(s, z):
         tau = math.expm1(s)
-        psi = np.empty(n - 1)
-        psi[:dim] = np.exp(z[:dim])
+        # z is (w, y): slot dim of its exponential becomes psi_{N-1}
+        psi = np.exp(z)
         psi[dim] = tau + last0
         # core.phi_field is looked up at call time, like rbk_field in
         # _density_rate.  It runs before the divisions: a trial stage that
@@ -779,8 +791,9 @@ def integrate_phi_to_blowup(
         # the stage, so psi_1 = 0 is never divided by
         f = core.phi_field(psi)
         g = (1.0 + tau) / psi[0]
-        out = np.empty(dim + 1)
-        out[:dim] = g * f[:dim] / psi[:dim]
+        # slot dim of g f / psi is overwritten by the rate of y
+        out = g * f
+        out /= psi
         out[dim] = g
         return out
 

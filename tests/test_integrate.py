@@ -117,6 +117,48 @@ def test_pair_converges_with_order_8():
     assert math.log2(errors[0] / errors[1]) >= 7.5
 
 
+def test_first_step_is_the_textbook_step_and_its_continuous_extension_bitwise():
+    """From t0 = 0 a run without a grid samples t1 = h exactly.  Its state is
+    the textbook DOP853 step z0 + h (b @ k) over the stages
+    k_i = f(c_i h, z0 + h (a_i @ k)), and grid points inside that step are
+    contd8 of those stages, Hairer's nested form in theta and 1 - theta.
+    c_1 and c_3 start at zero with a positive rate, so their stage inputs
+    are h (a_i @ k) exactly and no rounding of the stages is absorbed."""
+    z0 = packed(np.array([0.0, 0.7, 0.0, 1.1, 0.4]))
+    span = (0.0, math.log1p(100.0))
+    kwargs = dict(aux_names=DENSITY_AUX, chart="log-t")
+    free = integrate_adaptive(log_density_rate, z0, span, **kwargs)
+    h = free.abscissae[1]
+
+    k = np.empty((16, z0.size))
+    k[0] = log_density_rate(0.0, z0)
+    for i, (node, a_row) in enumerate(integrate._STAGES, 1):
+        k[i] = log_density_rate(node * h, z0 + h * (a_row @ k[:i]))
+    z1 = z0 + h * (integrate._B @ k[:12])
+    assert free.states[1].tobytes() == z1[:-3].tobytes()
+    for i, name in enumerate(DENSITY_AUX):
+        assert free.aux[name][1] == z1[-3 + i]
+
+    k[12] = log_density_rate(h, z1)
+    for i, (node, a_row) in enumerate(integrate._DENSE_STAGES, 13):
+        k[i] = log_density_rate(node * h, z0 + h * (a_row @ k[:i]))
+    dz = z1 - z0
+    bspl = h * k[0] - dz
+    r4 = dz - h * k[12] - bspl
+    d = h * (integrate._D @ k)
+    grid = h * np.array([0.3, 0.7])
+    traj = integrate_adaptive(log_density_rate, z0, span, grid=grid, **kwargs)
+    assert traj.abscissae[1:3].tobytes() == grid.tobytes()
+    for row, point in enumerate(grid, 1):
+        s = point / h
+        s1 = 1.0 - s
+        contd8 = z0 + s * (dz + s1 * (bspl + s * (r4 + s1 * (
+            d[0] + s * (d[1] + s1 * (d[2] + s * d[3]))))))
+        assert traj.states[row].tobytes() == contd8[:-3].tobytes()
+        for i, name in enumerate(DENSITY_AUX):
+            assert traj.aux[name][row] == contd8[-3 + i]
+
+
 # ---------------------------------------------------------------------------
 # t-chart against closed forms
 # ---------------------------------------------------------------------------
@@ -634,6 +676,7 @@ def test_t_driver_matches_generic_path_bitwise(c0):
     assert ref.abscissae.tobytes() == s_grid.tobytes()
     ref = replace(ref, states=np.exp(-s_grid)[:, None] * ref.states)
     _assert_same_bits(traj, ref, t_grid)
+    assert traj.stats == ref.stats
     assert traj.chart == "t"
 
 
@@ -653,6 +696,7 @@ def test_logtime_driver_matches_generic_path_bitwise(c0):
     s = ref.abscissae
     ref = replace(ref, states=np.exp(-s)[:, None] * ref.states)
     _assert_same_bits(traj, ref, np.expm1(s))
+    assert traj.stats == ref.stats
 
 
 @pytest.mark.parametrize("c0", _REFERENCE_C0[:2])
