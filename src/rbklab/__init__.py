@@ -39,7 +39,7 @@ from .asymptotics import (
 from .harness import (
     identity_suite,
     omega_reference,
-    rk4_reference,
+    state_reference,
     self_similar_residual,
 )
 

@@ -1,16 +1,17 @@
 """Independent oracles and identity suites.
 
-This module imports nothing from the integrator it is used to validate, only
-the closed forms and fields of core: the reference integrator is classical
-fixed-step RK4, blowup points come from a fixed-step run in the log(phi_1)
-chart rather than from the adaptive log-psi run, and the identity checks
-compare a trajectory they are handed against closed forms and finite
-differences only.  Oracles return plain arrays and floats.
+This module imports nothing from the integrator it is used to validate, and
+from core only two closed forms.  Both fields are quadratic, so one
+Cauchy-product recurrence gives their Taylor series exactly: state_reference
+steps the RBK system in t with it, and omega_reference steps the phi chart
+and reads omega off phi_1's coefficients, not off the adaptive log-psi run.
+The identity checks compare a trajectory they are handed against closed forms
+and finite differences only.  Oracles return plain arrays and floats.
 
 Fixture protocol: every oracle-derived expected value used by the test suite
-is generated here (RK4 with h-halving Richardson extrapolation), stored in a
-versioned JSON file together with its generation parameters, and loaded back
-at test time.  The RBK_FIXTURES environment variable overrides the file path.
+is generated here, stored in a versioned JSON file together with its
+generation parameters, and loaded back at test time.  The RBK_FIXTURES
+environment variable overrides the file path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import nu_odd_closed, phi_field, rbk_field, self_similar
+from .core import nu_odd_closed, self_similar
 
 __all__ = [
     "DEFAULT_FIXTURES_PATH",
@@ -33,106 +34,116 @@ __all__ = [
     "identity_suite",
     "load_fixtures",
     "omega_reference",
-    "richardson_extrapolate",
-    "rk4_reference",
     "self_similar_residual",
+    "state_reference",
 ]
 
 DEFAULT_FIXTURES_PATH = Path(__file__).parent / "data" / "fixtures.json"
 
 
 # ---------------------------------------------------------------------------
-# Reference integration
+# Taylor-series oracles
 # ---------------------------------------------------------------------------
 
-
-def rk4_reference(field_fn, x0, h: float, span) -> np.ndarray:
-    """Final state of classical fixed-step 4th-order integration of
-    dx/dt = field_fn(t, x) over span.
-
-    Deterministic: a fixed h reproduces results bitwise.  The final step is
-    clipped onto the span end.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    t0, t1 = float(span[0]), float(span[1])
-    if not t1 > t0:
-        raise ValueError(f"span must satisfy start < end, got {span}")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("non-finite initial state")
-
-    def rhs(t, z):
-        return np.asarray(field_fn(t, z), dtype=float)
-
-    z = x0
-    t = t0
-    while t < t1:
-        hs = min(h, t1 - t)
-        k1 = rhs(t, z)
-        k2 = rhs(t + 0.5 * hs, z + 0.5 * hs * k1)
-        k3 = rhs(t + 0.5 * hs, z + 0.5 * hs * k2)
-        k4 = rhs(t + hs, z + hs * k3)
-        z = z + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"non-finite state at t={t + hs:.6g}")
-        t = t1 if hs >= t1 - t else t + hs
-    return z
+# (order, step as a fraction of the radius of convergence) of the run that
+# gives an oracle's value, then of the run its error estimate compares with
+_RUNS = ((40, 0.4), (56, 0.3))
+_PHI1_STOP = 1e30  # where the omega run stops: omega - y <= 1e-15 * omega there
+_MAX_STEPS = 10_000  # bound on a run's steps and on one expansion's rescalings
+_EPS = float(np.finfo(float).eps)
 
 
-def richardson_extrapolate(values, order: int, ratio: float = 2.0):
-    """Richardson extrapolation of a coarse-to-fine sequence of approximations
-    whose leading error term is O(h^order), with step size shrinking by
-    `ratio` between entries.  Returns the extrapolated value."""
-    n = len(values)
-    if n < 2:
-        raise ValueError("need at least two values to extrapolate")
-    vals = [np.asarray(v, dtype=float) for v in values]
-    for j in range(1, n):
-        factor = ratio ** (order + (j - 1))
-        for i in range(n - 1, j - 1, -1):
-            vals[i] = (factor * vals[i] - vals[i - 1]) / (factor - 1.0)
-    out = vals[-1]
-    return float(out) if out.ndim == 0 else out
+def _expand(x, order: int, scale: float, rbk: bool):
+    """(b, scale, radius): b_n = a_n * scale^n, n <= order, for the Taylor
+    coefficients a_n at x of x' = B(x, x) by the Cauchy-product recurrence
+    a_{n+1} = sum_m B(a_m, a_{n-m}) / (n + 1), with the scale moved to within
+    a factor 2 of the radius of convergence read off b, so nothing overflows.
+    B(u, v)_j = sum_k u_{j+k} v_k - [rbk] u_j sum_k v_k (1-based, j + k <= N)
+    is the RBK field, or without the loss term the phi field when x_N == 1 (an
+    empty sum, so that series stays 1)."""
+    rows, cols = np.tril_indices(x.size, -1)  # u_{j+k} v_k: 0-based rows - cols = j
+    for _ in range(_MAX_STEPS):
+        b = np.vstack([x, np.zeros((order, x.size))])
+        for m in range(order):
+            products = b[: m + 1].T @ b[m::-1]  # [i, k] = sum_l b_l[i] b_{m-l}[k]
+            rate = np.bincount(rows - cols - 1, products[rows, cols], x.size)
+            if rbk:  # not in place: at N = 1 the empty bincount is integer
+                rate = rate - products.sum(axis=1)
+            b[m + 1] = rate * (scale / (m + 1))
+        if rbk:  # mixed signs: Cauchy-Hadamard root test on the last two orders
+            norms = np.abs(b).max(axis=1)
+            radius = scale * min((norms[0] / norms[k]) ** (1.0 / k) for k in (order - 1, order))
+        else:  # Domb-Sykes: phi_1 ~ (omega - y)^-alpha, a_n/a_{n-1} = (n - 1 + alpha)/(n radius)
+            alpha = (x.size - 1) / (x.size - 2)
+            radius = scale * (order - 1 + alpha) / order * b[order - 1, 0] / b[order, 0]
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"no radius of convergence from the coefficients at {x}")
+        if scale / 2 <= radius <= 2 * scale:
+            return b, scale, radius
+        scale = radius
+    raise RuntimeError("rescaling the Taylor coefficients did not settle")
 
 
-def omega_reference(
-    phi0,
-    *,
-    phi1_stop: float = 1e40,
-    h: float = 0.02,
-    halvings: int = 4,
-) -> tuple[float, float]:
-    """Blowup point of the phi-chart by an independent route: fixed-step RK4
-    in the chart u = log(phi_1), where the run never hits a singularity.
+def _state_run(c0, t_end: float, order: int, fraction: float):
+    # at N = 1, c = 1/(1/c0 + t) has radius 1/c0 + t: start the scale at 1/nu
+    x, t, radius = c0, 0.0, 1.0 / c0.sum()
+    for steps in range(_MAX_STEPS):
+        if t >= t_end:
+            return x, steps
+        b, scale, radius = _expand(x, order, radius, True)
+        h = min(fraction * radius, t_end - t)
+        x = (h / scale) ** np.arange(order + 1) @ b
+        t = t_end if h == t_end - t else t + h
+    raise RuntimeError(f"state run did not reach t = {t_end} in {_MAX_STEPS} steps")
 
-    With u as independent variable, dy/du = phi_1/phi_1' and
-    dphi_j/du = phi_j' * phi_1/phi_1'; y(u) converges to omega and the
-    remaining tail at phi_1 = 1e40 is far below double precision.  Returns
-    (omega, error_estimate), the error estimate being the change contributed
-    by the finest h-halving level.
-    """
-    phi0 = np.asarray(phi0, dtype=float)
-    if np.any(phi0 <= 0):
-        raise ValueError("phi0 must be strictly positive")
-    u0 = math.log(phi0[0])
-    u1 = math.log(phi1_stop)
 
-    def u_field(u, z):
-        phi = np.concatenate([[math.exp(u)], z[1:]])
-        rates = phi_field(phi)
-        dy_du = phi[0] / rates[0]
-        return np.concatenate([[dy_du], rates[1:] * dy_du])
+def _omega_run(phi0, order: int, fraction: float):
+    # the rate of sum(x) is at most sum(x)^2 / 2, so omega >= 2 / sum(x)
+    x = np.append(phi0, 1.0)
+    y, radius = 0.0, 2.0 / x.sum()
+    for steps in range(_MAX_STEPS):
+        b, scale, radius = _expand(x, order, radius, False)
+        if x[0] >= _PHI1_STOP:
+            return y + radius, steps
+        x = (fraction * radius / scale) ** np.arange(order + 1) @ b
+        y += fraction * radius
+    raise RuntimeError(f"phi_1 did not reach {_PHI1_STOP:g} in {_MAX_STEPS} steps")
 
-    z0 = np.concatenate([[0.0], phi0[1:]])
-    finals = []
-    for k in range(halvings + 1):
-        finals.append(rk4_reference(u_field, z0, h / 2**k, (u0, u1))[0])
-    omega = richardson_extrapolate(finals, order=4)
-    reference = (
-        richardson_extrapolate(finals[:-1], order=4) if len(finals) > 2 else finals[-1]
-    )
-    return float(omega), abs(float(omega) - float(reference))
+
+def _data(x, name: str, positive: bool) -> np.ndarray:
+    x = np.array(x, dtype=float)
+    sign = "positive" if positive else "nonnegative"
+    if x.ndim != 1 or x.size < 1 or not (np.isfinite(x) & (x > 0 if positive else x >= 0)).all():
+        raise ValueError(f"{name} must be a nonempty 1-D vector of finite {sign} numbers")
+    return x
+
+
+def state_reference(c0, t_end) -> tuple[np.ndarray, float]:
+    """(c_final, error_estimate): the RBK state at t_end from c0 >= 0, by Taylor
+    steps of a fixed fraction of the radius of convergence.  The estimate is
+    the largest change from a second run at higher order and shorter steps,
+    plus eps * max|c_final| per step.  Meant for t_end up to ~100: far out the
+    field's mixed signs cost accuracy."""
+    c0, t_end = _data(c0, "c0", False), float(t_end)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not c0.any():
+        return c0, 0.0  # zero data stays zero
+    (value, steps), (check, _) = (_state_run(c0, t_end, *run) for run in _RUNS)
+    return value, float(np.abs(value - check).max() + steps * _EPS * np.abs(value).max())
+
+
+def omega_reference(phi0) -> tuple[float, float]:
+    """(omega, error_estimate): the phi chart's blowup point from phi0 > 0
+    (N >= 3), by Taylor steps of a fixed fraction of the radius omega - y,
+    which phi_1's positive coefficients give (Pringsheim, Domb-Sykes); once
+    phi_1 >= 1e30, omega = y + radius.  The estimate is the change from a
+    second run at higher order and shorter steps, plus eps * omega per step."""
+    phi0 = _data(phi0, "phi0", True)
+    if phi0.size < 2:
+        raise ValueError("the phi chart blows up only for N >= 3")
+    (omega, steps), (check, _) = (_omega_run(phi0, *run) for run in _RUNS)
+    return float(omega), float(abs(omega - check) + steps * _EPS * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -240,59 +251,47 @@ def load_fixtures(path: Path | None = None) -> dict:
         return json.load(fh)
 
 
-def _oracle_state_fixture(N: int, seed: int, t_end: float, h0: float, halvings: int) -> dict:
-    rng = np.random.default_rng(seed)
-    c0 = rng.uniform(0.1, 1.0, N)
-    h_sequence = [h0 / 2**k for k in range(halvings + 1)]
-    finals = []
-    for h in h_sequence:
-        finals.append(rk4_reference(lambda t, x: rbk_field(x), c0, h, (0.0, t_end)))
-    value = richardson_extrapolate(finals, order=4)
-    err = float(np.max(np.abs(value - richardson_extrapolate(finals[:-1], order=4))))
-    return {
-        "inputs": {"N": N, "seed": seed, "c0": list(c0), "t_end": t_end},
-        "h_sequence": h_sequence,
-        "oracle": {"c_final": list(value), "error_estimate": err},
-        "tolerance": 1e-6,
-    }
+# valid steep c0 on which the lab's log-psi run rejects a stage that underflows
+# psi_1 (N = 4), or reports phi_j that tie or dip by an ulp (N = 10, a and b)
+_STEEP = {
+    "N4_steep": [1.0, 1e-6, 1.0, 1.0],
+    "N10_steep_a": [1.73e-06, 3.1e-09, 1.58e-09, 5.74, 89.8, 0.019, 0.567, 0.00334, 166.0, 6.17],
+    "N10_steep_b": [8.289645634394048e-06, 0.0009987579952211159, 1.3223645615681375e-08,
+                    71.85365603058607, 753.0676834190988, 5.0678366760074e-09,
+                    1.989640548063328e-05, 0.5764676408316274, 5.900075574866867e-06,
+                    0.006376716369163426],
+}
 
 
 def generate_fixtures(path: Path | None = None) -> dict:
-    """Regenerate the oracle fixture file (slow; minutes of fixed-step RK4).
-
-    All derived expected values used by the test suite come from here:
-    RK4 h-halving Richardson extrapolation for final states, and the
-    log(phi_1)-chart run for blowup points.
-    """
+    """Regenerate the oracle fixture file (a few seconds): final states from
+    state_reference, blowup points from omega_reference.  Every entry records
+    the (order, step fraction) pairs of the two runs behind its oracle."""
     fixtures: dict = {}
-
-    # bit-exact reproducibility anchor: fixed h, no extrapolation
-    c_final = rk4_reference(lambda t, x: rbk_field(x), [1.0, 1.0, 1.0], 1e-3, (0.0, 1.0))
-    fixtures["rk4_bitexact/N3_uniform_t1"] = {
-        "inputs": {"N": 3, "c0": [1.0, 1.0, 1.0], "h": 1e-3, "t_end": 1.0},
-        "oracle": {"c_final": list(c_final)},
-        "tolerance": 0.0,
-    }
-
     for N in (3, 4, 5):
-        fixtures[f"adaptive_oracle/N{N}"] = _oracle_state_fixture(
-            N, seed=100 + N, t_end=10.0, h0=1e-4, halvings=4
-        )
-
-    for N in (3, 4, 5, 8, 12, 16):
-        omega, error_estimate = omega_reference(np.ones(N - 1))
-        fixtures[f"omega/N{N}_ones"] = {
-            "inputs": {"N": N, "phi0": [1.0] * (N - 1), "phi1_stop": 1e40},
-            "h_sequence": [0.02 / 2**k for k in range(5)],
-            "oracle": {"omega": omega, "error_estimate": error_estimate},
-            "tolerance": 1e-6,
+        c0 = np.random.default_rng(100 + N).uniform(0.1, 1.0, N)
+        c_final, error_estimate = state_reference(c0, 10.0)
+        fixtures[f"adaptive_oracle/N{N}"] = {
+            "inputs": {"N": N, "seed": 100 + N, "c0": list(c0), "t_end": 10.0},
+            "oracle": {"c_final": list(c_final), "error_estimate": error_estimate},
         }
-
-    doc = {
-        "version": 1,
-        "generator": "rk4_reference with h-halving Richardson extrapolation",
-        "fixtures": fixtures,
-    }
+    omega_inputs = {f"N{N}_ones": {"N": N} for N in (3, 4, 5, 8, 12, 16)}
+    for N in (6, 10, 16):
+        c0 = 10.0 ** np.random.default_rng(200 + N).uniform(-6.0, 3.0, N)
+        omega_inputs[f"N{N}_random"] = {"N": N, "seed": 200 + N, "c0": list(c0)}
+    omega_inputs.update((name, {"N": len(c0), "c0": c0}) for name, c0 in _STEEP.items())
+    for name, inputs in omega_inputs.items():
+        c0 = np.array(inputs.get("c0", [1.0] * inputs["N"]))
+        phi0 = c0[:-1] / c0[-1]
+        omega, error_estimate = omega_reference(phi0)
+        fixtures[f"omega/{name}"] = {
+            "inputs": {**inputs, "phi0": list(phi0)},
+            "oracle": {"omega": omega, "error_estimate": error_estimate},
+        }
+    for entry in fixtures.values():
+        entry.update(order=[run[0] for run in _RUNS],
+                     step_fraction=[run[1] for run in _RUNS], tolerance=1e-6)
+    doc = {"version": 2, "generator": "Taylor-series recurrence", "fixtures": fixtures}
     target = path or fixtures_path()
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 with the measured value against its pinned tolerance.
 
-Derived expected values come from the versioned oracle fixtures (fixed-step
-RK4 with h-halving Richardson extrapolation, and the log(phi_1)-chart blowup
-reference); everything else is a closed form or a pinned threshold.  Run with
+Derived expected values come from the versioned oracle fixtures (Taylor-series
+runs of the fields' quadratic recurrence, for final states and for blowup
+points); everything else is a closed form or a pinned threshold.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
@@ -194,7 +194,7 @@ def test_criterion_8_constants_discrepancy_probe(capsys):
 
 
 def test_criterion_9_oracle_equivalence(oracle_fixtures):
-    """Adaptive integration matches the frozen RK4(h=1e-4)+Richardson oracle
+    """Adaptive integration matches the frozen Taylor-series state oracle
     within 1e-6 relative, componentwise, N in {3,4,5}, t in [0,10]."""
     details = []
     ok = True

@@ -501,48 +501,39 @@ def test_blowup_n16_omega_within_its_bar_of_the_packaged_oracle(tmp_path, oracle
     assert report["flags"] == {"laws_unconverged": True}
 
 
-def test_blowup_rejects_a_stage_that_underflows_psi_1_without_a_warning(tmp_path):
+def test_blowup_rejects_a_stage_that_underflows_psi_1_without_a_warning(tmp_path,
+                                                                        oracle_fixtures):
     """On this c0 one trial stage drives exp(w_1) to 0; the stage is rejected
     before any division by it, so no numpy warning is raised (pytest turns
-    warnings into errors), and omega's bar still covers the log(phi_1)-chart
-    oracle: harness.omega_reference((1, 1e-6, 1)) is 1.0034174086601644 with
-    an error estimate of 4.5e-14 (11 s to compute, so not recomputed here)."""
-    c0 = [1.0, 1e-6, 1.0, 1.0]
+    warnings into errors), and omega's bar still covers the packaged oracle."""
+    fx = oracle_fixtures["omega/N4_steep"]
+    c0 = fx["inputs"]["c0"]
+    assert c0 == [1.0, 1e-6, 1.0, 1.0]
     cfg = write_config(tmp_path, N=4, c0=c0)
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".report.json").read_text())
-    assert abs(report["omega"] - 1.0034174086601644) <= report["uncertainty"]
+    assert abs(report["omega"] - fx["oracle"]["omega"]) <= report["uncertainty"]
     phi0 = np.array(c0[:-1])  # c_N = 1
     assert integrate_phi_to_blowup(phi0, 1e10)[0].stats.rejected_nonfinite == 1
 
 
 # valid steep c0 at N = 10 whose first steps move some phi_j by less than an
-# ulp (case A) or whose first stepped row of phi_j lands 2 ulps below the
-# exact phi0 (case B), with omega of the log(phi_1)-chart oracle
-# harness.omega_reference (estimates 9.0e-16 and 9.0e-18; 12 s to compute,
-# so not recomputed here)
-_STEEP_N10 = [
-    ([1.73e-06, 3.1e-09, 1.58e-09, 5.74, 89.8, 0.019, 0.567, 0.00334, 166.0, 6.17],
-     0.06361359904573848),
-    ([8.289645634394048e-06, 0.0009987579952211159, 1.3223645615681375e-08,
-      71.85365603058607, 753.0676834190988, 5.0678366760074e-09, 1.989640548063328e-05,
-      0.5764676408316274, 5.900075574866867e-06, 0.006376716369163426],
-     2.9457302330182305e-05),
-]
-
-
-@pytest.mark.parametrize("c0, oracle", _STEEP_N10)
-def test_blowup_accepts_phi_components_that_tie_in_double_precision(tmp_path, c0, oracle):
+# ulp (case a) or whose first stepped row of phi_j lands 2 ulps below the
+# exact phi0 (case b), packaged with their oracle omegas
+@pytest.mark.parametrize("key", ["omega/N10_steep_a", "omega/N10_steep_b"])
+def test_blowup_accepts_phi_components_that_tie_in_double_precision(tmp_path, oracle_fixtures,
+                                                                    key):
     """The run checks the log psi_j it integrated, which never decrease, not
     the reported phi_j, which tie or dip by an ulp on this data; the numpy
     overflow of rejected trial stages raises no warning (pytest turns
     warnings into errors)."""
-    cfg = write_config(tmp_path, N=10, c0=c0)
+    fx = oracle_fixtures[key]
+    cfg = write_config(tmp_path, N=10, c0=fx["inputs"]["c0"])
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".report.json").read_text())
-    assert abs(report["omega"] - oracle) <= report["uncertainty"]
+    assert abs(report["omega"] - fx["oracle"]["omega"]) <= report["uncertainty"]
 
 
 def test_blowup_overflowing_trial_stage_raises_no_warning(tmp_path):

@@ -1,4 +1,4 @@
-"""Reference integrator, identity suites (including the negative control),
+"""Taylor-series oracles, identity suites (including the negative control),
 the self-similar truncated oracle, and the fixture protocol."""
 
 import ast
@@ -11,22 +11,21 @@ import numpy as np
 import pytest
 
 from rbklab import asymptotics, harness, integrate
-from rbklab.core import rbk_field, self_similar
+from rbklab.core import nu_odd_closed, self_similar
 from rbklab.harness import (
     DEFAULT_FIXTURES_PATH,
     fixtures_path,
     identity_suite,
     load_fixtures,
     omega_reference,
-    richardson_extrapolate,
-    rk4_reference,
     self_similar_residual,
+    state_reference,
 )
 from rbklab.integrate import Trajectory, integrate_rbk
 
 
 # ---------------------------------------------------------------------------
-# rk4 reference
+# Taylor-series oracles
 # ---------------------------------------------------------------------------
 
 
@@ -61,45 +60,78 @@ def test_no_module_imports_scipy():
             assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
 
-def test_rk4_quadratic_decay_closed_form():
-    final = rk4_reference(lambda t, x: -x * x, [1.0], 1e-4, (0.0, 9.0))
-    assert abs(final[0] - 0.1) < 1e-12
+@pytest.mark.parametrize("t", [0.5, 9.0, 100.0])
+def test_state_reference_single_cluster_closed_form(t):
+    """At N = 1 the system is c' = -c^2, so c(t) = 1/(1/c0 + t)."""
+    c_final, error = state_reference([0.7], t)
+    assert abs(c_final[0] - 1.0 / (1.0 / 0.7 + t)) <= error
+    assert error < 1e-15
 
 
-def test_rk4_zero_field_constant():
-    final = rk4_reference(lambda t, x: np.zeros_like(x), [2.0, 3.0], 0.1, (0.0, 1.0))
-    assert np.array_equal(final, [2.0, 3.0])
+def test_state_reference_keeps_nu_odd_closed_form():
+    """The odd-subscript density nu_odd solves nu' = -nu^2 on its own, so at
+    N = 5 it follows core.nu_odd_closed along the oracle's states, to the
+    oracle's error in each of its three terms plus the rounding of the sum and
+    of the closed form."""
+    c0 = np.random.default_rng(5).uniform(0.1, 1.0, 5)
+    for t in (0.1, 1.0, 10.0, 50.0):
+        c_final, error = state_reference(c0, t)
+        expected = nu_odd_closed(c0[0::2].sum(), t)
+        slack = 3 * error + 4 * np.finfo(float).eps * expected
+        assert abs(c_final[0::2].sum() - expected) <= slack
 
 
-def test_rk4_reproduces_bitexact_fixture(oracle_fixtures):
-    fx = oracle_fixtures["rk4_bitexact/N3_uniform_t1"]
-    final = rk4_reference(
-        lambda t, x: rbk_field(x),
-        fx["inputs"]["c0"],
-        fx["inputs"]["h"],
-        (0.0, fx["inputs"]["t_end"]),
-    )
-    assert np.all(final == np.array(fx["oracle"]["c_final"]))
+@pytest.mark.parametrize("lam", [2.0, 1e3])
+def test_state_reference_scaling_symmetry(lam):
+    """c(t) solves the system iff lam * c(lam * t) does, so
+    state(lam * c0, t / lam) = lam * state(c0, t)."""
+    c0 = np.random.default_rng(4).uniform(0.1, 1.0, 4)
+    c_final, error = state_reference(c0, 10.0)
+    scaled, scaled_error = state_reference(lam * c0, 10.0 / lam)
+    assert np.max(np.abs(scaled / lam - c_final)) <= error + scaled_error / lam
 
 
-def test_rk4_rejects_bad_step():
+def test_state_reference_zero_data_stays_zero():
+    c_final, error = state_reference(np.zeros(3), 5.0)
+    assert not c_final.any() and error == 0.0
+
+
+@pytest.mark.parametrize("phi0", [[1.0, 0.0], [1.0, -1.0], [np.nan, 1.0], [1.0, np.inf],
+                                  [1.0], [[1.0, 1.0]]])
+def test_omega_reference_refuses_bad_phi0(phi0):
+    """phi0 must be a finite, strictly positive vector of N - 1 >= 2 entries."""
     with pytest.raises(ValueError):
-        rk4_reference(lambda t, x: -x, [1.0], 0.0, (0.0, 1.0))
+        omega_reference(phi0)
 
 
-def test_richardson_removes_leading_order():
-    truth = 2.5
-    values = [truth + 0.3 * (0.1 / 2**k) ** 4 for k in range(3)]
-    assert richardson_extrapolate(values, order=4) == pytest.approx(truth, abs=1e-12)
+@pytest.mark.parametrize("c0, t_end", [([1.0, -1e-9], 1.0), ([np.nan, 1.0], 1.0),
+                                       ([np.inf, 1.0], 1.0), ([], 1.0), ([1.0], 0.0),
+                                       ([1.0], np.inf), ([1.0], np.nan)])
+def test_state_reference_refuses_bad_data(c0, t_end):
+    """c0 must be a finite nonnegative vector, t_end positive and finite."""
     with pytest.raises(ValueError):
-        richardson_extrapolate([1.0], order=4)
+        state_reference(c0, t_end)
 
 
-def test_omega_reference_stability():
-    omega_a, error_a = omega_reference(np.ones(2), h=0.08, halvings=1, phi1_stop=1e30)
-    omega_b, _ = omega_reference(np.ones(2), h=0.04, halvings=1, phi1_stop=1e30)
-    assert abs(omega_a - omega_b) < 1e-8
-    assert error_a >= 0.0
+def test_oracles_reproduce_their_packaged_fixtures(oracle_fixtures):
+    """The packaged values are what the code makes, within their estimates
+    (CI regenerates the whole file and checks every entry the same way)."""
+    fx = oracle_fixtures["adaptive_oracle/N3"]
+    c_final, _ = state_reference(fx["inputs"]["c0"], fx["inputs"]["t_end"])
+    oracle = fx["oracle"]
+    assert np.max(np.abs(c_final - oracle["c_final"])) <= oracle["error_estimate"]
+    oracle = oracle_fixtures["omega/N3_ones"]["oracle"]
+    assert abs(omega_reference([1.0, 1.0])[0] - oracle["omega"]) <= oracle["error_estimate"]
+
+
+def test_oracle_runs_are_bounded(monkeypatch):
+    """A run that does not reach its end within the step budget raises
+    instead of spinning."""
+    monkeypatch.setattr(harness, "_MAX_STEPS", 5)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        omega_reference(np.ones(2))
+    with pytest.raises(RuntimeError, match="did not reach"):
+        state_reference(np.ones(3), 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +248,15 @@ def test_self_similar_residual_at_zero_time():
 
 
 def test_fixtures_file_structure(oracle_fixtures):
-    for key in ("rk4_bitexact/N3_uniform_t1", "adaptive_oracle/N4", "omega/N5_ones"):
+    for key in ("adaptive_oracle/N4", "omega/N5_ones", "omega/N10_random"):
         assert key in oracle_fixtures
-        assert "inputs" in oracle_fixtures[key]
-        assert "oracle" in oracle_fixtures[key]
+    assert not any(key.startswith("rk4_bitexact") for key in oracle_fixtures)
+    for entry in oracle_fixtures.values():
+        assert {"inputs", "oracle", "order", "step_fraction"} <= set(entry)
+        assert entry["tolerance"] == 1e-6 and entry["oracle"]["error_estimate"] >= 0
     doc = load_fixtures()
-    assert doc["version"] == 1
-    assert "Richardson" in doc["generator"]
+    assert doc["version"] == 2
+    assert "Taylor" in doc["generator"] and "Richardson" not in doc["generator"]
 
 
 def test_fixtures_env_override(tmp_path, monkeypatch):

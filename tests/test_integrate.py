@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from rbklab import asymptotics, integrate
 from rbklab.core import phi_field, rbk_field
+from rbklab.harness import load_fixtures
 from rbklab.integrate import (
     BlowupEstimate,
     IntegrationError,
@@ -518,19 +519,31 @@ def test_blowup_omega_matches_reference_fixture(oracle_fixtures):
         assert rel < fx["tolerance"], f"N={n}: omega off by {rel:.2e}"
 
 
-_COVERAGE = [
-    *((n, cap, rtol) for n in (3, 4, 5) for cap in (1e6, 1e8, 1e10) for rtol in (1e-9, 1e-11)),
-    *((n, 1e10, rtol) for n in (8, 12, 16) for rtol in (1e-9, 1e-11)),
-]
+def _coverage():
+    """Every omega fixture at cap 1e10, and phi0 = ones at N = 3, 4, 5 also at
+    caps 1e6 and 1e8, each at rtol 1e-9 and 1e-11."""
+    keys = sorted(k for k in load_fixtures()["fixtures"] if k.startswith("omega/"))
+    for key in keys:
+        name = key.removeprefix("omega/")
+        ones = name.endswith("_ones")
+        label = name.removeprefix("N").removesuffix("_ones") if ones else name
+        caps = (1e6, 1e8, 1e10) if name in ("N3_ones", "N4_ones", "N5_ones") else (1e10,)
+        for cap in caps:
+            for rtol in (1e-9, 1e-11):
+                yield pytest.param(key, cap, rtol, id=f"{label}-{cap}-{rtol}")
 
 
-@pytest.mark.parametrize("n, cap, rtol", _COVERAGE)
-def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, n, cap, rtol):
-    """|omega - oracle| <= uncertainty + the oracle's own error estimate."""
-    oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
-    _, estimate = integrate_phi_to_blowup(np.ones(n - 1), cap, IntegratorSettings(rtol=rtol))
+@pytest.mark.parametrize("key, cap, rtol", _coverage())
+def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, key, cap, rtol):
+    """|omega - oracle| <= uncertainty + the oracle's own error estimate, where
+    that estimate is at most 1e-2 of the bar, so a wide oracle cannot pass."""
+    fx = oracle_fixtures[key]
+    oracle = fx["oracle"]
+    phi0 = np.array(fx["inputs"]["phi0"])
+    _, estimate = integrate_phi_to_blowup(phi0, cap, IntegratorSettings(rtol=rtol))
     error = abs(estimate.omega - oracle["omega"])
     assert error <= estimate.uncertainty + oracle["error_estimate"]
+    assert oracle["error_estimate"] <= 1e-2 * estimate.uncertainty
     # the bar is rtol*omega plus a tail below eps*omega
     assert estimate.uncertainty <= (rtol + 4 * np.finfo(float).eps) * estimate.omega
 
