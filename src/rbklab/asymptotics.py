@@ -5,9 +5,10 @@ asymptotic law of its chart and reports it as a series: the residual of an
 exact-law trajectory vanishes identically, and on real runs the series should
 decay toward zero.  Convergence is reported as a trend (magnitude decreasing
 across decades) plus a final-window threshold, since no decay rates are
-available.  Fits use unweighted least squares in log-log space, matching the
-multiplicative (1 + residual) error model, over the terminal two decades of
-the independent variable where the corrections are smallest.
+available.  Fits use unweighted least squares in log-log space, in closed
+form, matching the multiplicative (1 + residual) error model, over the
+terminal two decades of the independent variable where the corrections are
+smallest.
 
 Each diagnostic reads N and the support lattice off the run it checks and
 takes only what the run cannot tell it (omega as a float, the prefactor
@@ -70,6 +71,17 @@ def fit_power_law(x, v) -> PowerLawFit:
     v = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.shape != v.shape:
         raise ValueError("x and v must be 1-D arrays of equal length")
+    return _fit_columns(x, v[:, None])[0]
+
+
+def _fit_columns(x, v) -> list[PowerLawFit]:
+    """fit_power_law of each column of v (shape (x.size, k)) against x, all
+    in one pass of closed-form least squares on the centred logs:
+
+        slope = sum(dx dv) / sum(dx^2),  intercept = mean(log v) - slope mean(log x)
+
+    with dx, dv the logs less their means, and the residual the RMS of
+    dv - slope dx.  Plain ufuncs and reductions, so no LAPACK call."""
     if x.size < 3:
         raise ValueError(f"need at least 3 pairs to fit, got {x.size}")
     if np.any(x <= 0) or np.any(v <= 0):
@@ -78,13 +90,16 @@ def fit_power_law(x, v) -> PowerLawFit:
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise ValueError("abscissae must be strictly monotone")
     lx, lv = np.log(x), np.log(v)
-    slope, intercept = np.polyfit(lx, lv, 1)
-    misfit = lv - (intercept + slope * lx)
-    return PowerLawFit(
-        exponent=float(-slope),
-        prefactor=float(math.exp(intercept)),
-        residual=float(np.sqrt(np.mean(misfit**2))),
-    )
+    mx, mv = lx.mean(), lv.mean(axis=0)
+    dx, dv = (lx - mx)[:, None], lv - mv
+    slope = (dx * dv).sum(axis=0) / (dx * dx).sum()
+    intercept = mv - slope * mx
+    misfit = dv - dx * slope
+    residual = np.sqrt((misfit * misfit).mean(axis=0))
+    return [
+        PowerLawFit(exponent=float(-a), prefactor=math.exp(b), residual=float(r))
+        for a, b, r in zip(slope, intercept, residual)
+    ]
 
 
 @dataclass(frozen=True)
@@ -116,13 +131,11 @@ def blowup_diagnostic(traj, omega: float) -> BlowupReport:
         window = np.ones_like(phi1, dtype=bool)
 
     diagnostics = {}
-    fitted = {}
     for j in range(1, n):
         law = laws[j]
-        series = traj.states[:, j - 1]
-        rho = series * gap**law.exponent / law.prefactor - 1.0
+        rho = traj.states[:, j - 1] * gap**law.exponent / law.prefactor - 1.0
         diagnostics[j] = ConvergenceDiagnostic(abscissae=y, residuals=rho)
-        fitted[j] = fit_power_law(gap[window], series[window])
+    fitted = dict(enumerate(_fit_columns(gap[window], traj.states[window]), start=1))
     y_win = y[window]
     return BlowupReport(
         diagnostics=diagnostics,

@@ -457,6 +457,39 @@ def _support_checks(run: dict) -> list:
     ]
 
 
+def _omega_fixture(phi0):
+    """(omega, error_estimate, tolerance) of the first omega/ fixture, in key
+    order, whose inputs.phi0 equals phi0 bitwise, or None.  The file's
+    location honours RBK_FIXTURES; every omega/ entry's inputs.phi0 must be a
+    list of finite numbers, and a matching entry's oracle must be valid."""
+    try:
+        fixtures = harness.load_fixtures()
+    except (OSError, ValueError) as exc:  # unreadable or not JSON: must not drop the rows
+        raise ConfigError(f"cannot read the fixture file: {exc}") from exc
+    entries = _object("fixture file: fixtures", _object("fixture file", fixtures).get("fixtures"))
+    match = None
+    for key in sorted(entries):
+        if not key.startswith("omega/"):
+            continue
+        where = f"fixture {key}:"
+        fx = _object(where, entries[key])
+        listed = _object(f"{where} inputs", fx.get("inputs")).get("phi0")
+        if not isinstance(listed, list):
+            raise ConfigError(f"{where} inputs.phi0 must be a list, got {reprlib.repr(listed)}")
+        values = [_finite(f"{where} inputs.phi0[{i}]", v) for i, v in enumerate(listed)]
+        if match is None and values == phi0.tolist():
+            match = where, fx
+    if match is None:
+        return None
+    where, fx = match
+    oracle = _object(f"{where} oracle", fx.get("oracle"))
+    omega = _finite(f"{where} oracle.omega", oracle.get("omega"))
+    if not omega > 0:
+        raise ConfigError(f"{where} oracle.omega must be positive, got {omega}")
+    bar = _finite(f"{where} oracle.error_estimate", oracle.get("error_estimate"))
+    return omega, bar, _finite(f"{where} tolerance", fx.get("tolerance"))
+
+
 def _asymptotics_checks(run: dict) -> list:
     traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
     rep = asymptotics.blowup_diagnostic(traj, estimate.omega)
@@ -480,35 +513,20 @@ def _asymptotics_checks(run: dict) -> list:
         ("ratio divergence", ratios_ok,
          f"final phi_1/phi_2 = {ratios[1].final_value:.3e}"),
     ]
-    # cross-check against the frozen reference fixture when one matches
-    # (fixture location honours RBK_FIXTURES); without one there is nothing
-    # to hold omega's error bar against, so neither omega row is printed
-    if np.all(run["phi0"] == 1.0):
-        try:
-            fixtures = harness.load_fixtures()
-        except (OSError, ValueError) as exc:  # unreadable or not JSON: must not drop the rows
-            raise ConfigError(f"cannot read the fixture file: {exc}") from exc
-        key = f"omega/N{run['c0'].size}_ones"
-        entries = _object("fixture file", fixtures).get("fixtures")
-        fx = _object("fixture file: fixtures", entries).get(key)
-        if fx is not None:
-            where = f"fixture {key}:"
-            fx = _object(where, fx)
-            oracle = _object(f"{where} oracle", fx.get("oracle"))
-            omega = _finite(f"{where} oracle.omega", oracle.get("omega"))
-            if not omega > 0:
-                raise ConfigError(f"{where} oracle.omega must be positive, got {omega}")
-            bar = _finite(f"{where} oracle.error_estimate", oracle.get("error_estimate"))
-            tol = _finite(f"{where} tolerance", fx.get("tolerance"))
-            # the bar must cover the error, up to the oracle's own error
-            covered = abs(estimate.omega - omega) <= estimate.uncertainty + bar
-            rel = abs(estimate.omega / omega - 1.0)
-            checks += [
-                ("omega uncertainty", covered,
-                 f"omega = {estimate.omega:.9f} +/- {estimate.uncertainty:.2e}"),
-                ("omega matches reference fixture", rel < tol,
-                 f"rel dev {rel:.3e} (tol {tol:.0e})"),
-            ]
+    # without a fixture of this phi0 there is nothing to hold omega's error
+    # bar against, so neither omega row is printed
+    reference = _omega_fixture(run["phi0"])
+    if reference is not None:
+        omega, bar, tol = reference
+        # the bar must cover the error, up to the oracle's own error
+        covered = abs(estimate.omega - omega) <= estimate.uncertainty + bar
+        rel = abs(estimate.omega / omega - 1.0)
+        checks += [
+            ("omega uncertainty", covered,
+             f"omega = {estimate.omega:.9f} +/- {estimate.uncertainty:.2e}"),
+            ("omega matches reference fixture", rel < tol,
+             f"rel dev {rel:.3e} (tol {tol:.0e})"),
+        ]
     return checks
 
 

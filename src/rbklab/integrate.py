@@ -679,10 +679,13 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
     The run is sampled on the grid and reported at the grid's t or, when
     points_per_decade is 0, at every accepted step, reported at t = e^s - 1
     and the last at the grid's end.  States are reported as c = e^-s u, and a
-    failure names s.
+    failure names s.  c0 must be finite and nonnegative, and is refused
+    before the first field call.
     """
-    s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     c0 = np.asarray(c0, dtype=float)
+    if c0.ndim != 1 or c0.size < 1 or not (np.isfinite(c0) & (c0 >= 0)).all():
+        raise ValueError("c0 must be a nonempty 1-D vector of finite nonnegative numbers")
+    s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     run = integrate_adaptive(
         _density_rate(c0.size),
         np.concatenate([c0, np.zeros(len(_DENSITY_AUX))]),
@@ -763,6 +766,8 @@ def integrate_phi_to_blowup(
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.ndim != 1 or phi0.size < 2:
         raise ValueError("phi0 must be a vector of length N-1 >= 2")
+    if not np.isfinite(phi0).all():
+        raise ValueError("phi0 must have finite entries")
     if np.any(phi0 <= 0):
         raise ValueError("phi chart requires strictly positive initial data")
     if not (math.isfinite(cap) and cap > phi0[0]):

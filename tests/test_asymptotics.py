@@ -50,6 +50,19 @@ def test_fit_errors():
         fit_power_law([1.0, 3.0, 2.0], [1.0, 2.0, 3.0])  # not monotone
 
 
+def test_fit_recovers_exact_power_laws():
+    """Data exact to rounding gives back its exponent and prefactor to 1e-13,
+    in either orientation and over ten decades."""
+    x = np.geomspace(1e-10, 1.0, 23)
+    for exponent, prefactor in [(1.5, 2.0), (0.25, 1e-3), (14.0, 7.5e4), (-2.0, 0.3)]:
+        v = prefactor * x**-exponent
+        for xs, vs in [(x, v), (x[::-1], v[::-1])]:
+            fit = fit_power_law(xs, vs)
+            assert abs(fit.exponent - exponent) <= 1e-13 * max(1.0, abs(exponent))
+            assert abs(fit.prefactor / prefactor - 1.0) <= 1e-13
+            assert fit.residual <= 1e-13
+
+
 def test_fit_scale_equivariance():
     rng = np.random.default_rng(31)
     x = np.geomspace(1.0, 1e-4, 25)
@@ -86,6 +99,62 @@ def test_blowup_diagnostic_exact_law():
         assert rep.fitted[j].prefactor == pytest.approx(
             rep.theoretical[j].prefactor, rel=1e-9
         )
+
+
+def test_blowup_diagnostic_fits_every_component_exactly():
+    """All N - 1 components are fitted in one pass, each to 1e-13, on laws
+    sampled where omega - y is exact (powers of two)."""
+    n, omega = 6, 1.0
+    y = omega - 2.0 ** -np.arange(1.0, 40.0)
+    rep = blowup_diagnostic(_synthetic_blowup(n, omega, y), omega)
+    assert sorted(rep.fitted) == list(range(1, n))
+    for j, fit in rep.fitted.items():
+        law = rep.theoretical[j]
+        assert abs(fit.exponent / law.exponent - 1.0) <= 1e-13
+        assert abs(fit.prefactor / law.prefactor - 1.0) <= 1e-13
+
+
+def _workload_runs():
+    """The benchmark's blowup runs: N = 3..16, c0 uniform and seeded random."""
+    rng = np.random.default_rng(5)
+    for n in range(3, 17):
+        for c0 in (np.ones(n), rng.uniform(0.1, 1.0, n)):
+            yield n, integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
+
+
+def test_blowup_fits_agree_with_polyfit():
+    """The closed-form fits agree with numpy's SVD least squares (np.polyfit,
+    kept here as the independent reference) within 1e-12 on every law of the
+    28 blowup runs."""
+    count = 0
+    for n, (traj, estimate) in _workload_runs():
+        rep = blowup_diagnostic(traj, estimate.omega)
+        y = traj.abscissae
+        window = (y >= rep.window[0]) & (y <= rep.window[1])
+        lx = np.log(estimate.omega - y[window])
+        for j, fit in rep.fitted.items():
+            lv = np.log(traj.states[window, j - 1])
+            slope, intercept = np.polyfit(lx, lv, 1)
+            residual = np.sqrt(np.mean((lv - (intercept + slope * lx)) ** 2))
+            assert fit.exponent == pytest.approx(-slope, rel=1e-12, abs=0.0), (n, j)
+            assert fit.prefactor == pytest.approx(math.exp(intercept), rel=1e-12, abs=0.0), (n, j)
+            assert fit.residual == pytest.approx(residual, rel=1e-6, abs=0.0), (n, j)
+            count += 1
+    assert count == 238
+
+
+def test_fits_make_no_lapack_call(monkeypatch, blowup_n4):
+    """The fits are closed-form: with numpy's least-squares routes disabled
+    they still return, so a blowup run never calls LAPACK."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    x = np.geomspace(1e-6, 1e-1, 40)
+    assert fit_power_law(x, 2.0 * x**-1.5).exponent == pytest.approx(1.5, rel=1e-13)
+    traj, estimate = blowup_n4
+    assert sorted(blowup_diagnostic(traj, estimate.omega).fitted) == [1, 2, 3]
 
 
 def test_blowup_diagnostic_rejects_low_omega():

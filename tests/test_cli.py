@@ -716,8 +716,8 @@ def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, mo
     assert main(["verify", "asymptotics"]) == 3
     assert "invalid config" in capsys.readouterr().err
     # a readable file of the wrong shape is a rejected input too
-    entry = ('{"fixtures": {"omega/N4_ones": {"oracle": {"omega": %s, "error_estimate": 0}, '
-             '"tolerance": 1e-6}}}')
+    entry = ('{"fixtures": {"omega/N4_ones": {"inputs": {"phi0": [1, 1, 1]}, '
+             '"oracle": {"omega": %s, "error_estimate": 0}, "tolerance": 1e-6}}}')
     for name, text in [("list", "[]"), ("empty_entry", '{"fixtures": {"omega/N4_ones": {}}}'),
                        ("string_omega", entry % '"0.75"'), ("zero_omega", entry % "0")]:
         shaped = tmp_path / f"{name}.json"
@@ -733,6 +733,42 @@ def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, mo
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "reference fixture" not in out
     assert "omega uncertainty" not in out
+
+
+def test_verify_asymptotics_looks_the_fixture_up_by_the_exact_phi0(tmp_path, capsys,
+                                                                   oracle_fixtures):
+    """Every omega fixture is found from its own c0, not only the _ones ones,
+    and both omega rows pass on each; a uniform c0 of any value finds _ones."""
+    for key, fx in sorted(oracle_fixtures.items()):
+        if not key.startswith("omega/"):
+            continue
+        inputs = fx["inputs"]
+        c0 = inputs.get("c0", inputs["phi0"] + [1.0])
+        main(["verify", "asymptotics", "--config", write_config(tmp_path, N=len(c0), c0=c0)])
+        out = capsys.readouterr().out
+        assert "PASS omega uncertainty: " in out, key
+        assert "PASS omega matches reference fixture: " in out, key
+    steep = write_config(tmp_path, N=4, c0=[1, 1e-6, 1, 1])
+    assert main(["verify", "asymptotics", "--config", steep]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert "omega = 1.003417409 +/- " in out
+    uniform = write_config(tmp_path, N=5, c0={"uniform": {"value": 2.5}})
+    assert main(["verify", "asymptotics", "--config", uniform]) == 0
+    assert "omega = 0.541259553 +/- " in capsys.readouterr().out
+
+
+def test_verify_asymptotics_refuses_a_malformed_fixture_phi0(tmp_path, capsys, monkeypatch):
+    """Every omega fixture's inputs.phi0 is checked, matching or not: one
+    that is not a list of finite numbers exits 3 and names the fixture."""
+    doc = harness.load_fixtures()
+    for bad in (None, "1, 1, 1", [1, "1", 1], [1, True, 1]):
+        doc["fixtures"]["omega/N16_random"]["inputs"]["phi0"] = bad
+        shaped = tmp_path / "fixtures.json"
+        shaped.write_text(json.dumps(doc))
+        monkeypatch.setenv("RBK_FIXTURES", str(shaped))
+        assert main(["verify", "asymptotics"]) == 3, bad
+        assert "invalid config: fixture omega/N16_random: inputs.phi0" in capsys.readouterr().err
 
 
 def test_verify_asymptotics_fails_when_the_bar_misses_the_fixture(tmp_path, capsys,

@@ -594,6 +594,42 @@ def test_blowup_rejects_bad_initial_data():
             integrate_phi_to_blowup([1.0, 1.0], cap=cap)
 
 
+@pytest.mark.parametrize("c0", [
+    [-1.0, 1.0],
+    [1.0, -1e-3, 1.0],
+    [1.0, -1e-13, 1.0],  # within atol: ran before
+    [1.0, math.nan, 1.0],
+    [math.inf, 1.0],
+    [[1.0, 1.0]],
+    [],
+])
+def test_density_drivers_refuse_bad_c0_before_the_first_field_call(monkeypatch, c0):
+    """Negative, non-finite or non-vector c0 raise ValueError naming c0 with
+    no field call, instead of spending the step budget or failing as an
+    IntegrationError."""
+    calls = []
+    monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
+    for driver in (integrate_rbk, integrate_logtime):
+        with pytest.raises(ValueError, match="c0 must be"):
+            driver(c0, 10.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("phi0, match", [
+    ([1.0, math.nan, 1.0], "phi0 must have finite entries"),
+    ([math.nan, 1.0], "phi0 must have finite entries"),
+    ([1.0, math.inf], "phi0 must have finite entries"),
+    ([1.0, 0.0], "strictly positive"),
+])
+def test_blowup_refuses_bad_phi0_before_the_first_field_call(monkeypatch, phi0, match):
+    """A NaN or inf phi0 is blamed on phi0, not on the cap or the tail."""
+    calls = []
+    monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
+    with pytest.raises(ValueError, match=match):
+        integrate_phi_to_blowup(phi0)
+    assert calls == []
+
+
 def test_blowup_cap_unreachable_with_tight_budget():
     with pytest.raises(IntegrationError, match="cap not reached.* at s="):
         integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=IntegratorSettings(max_steps=20))
