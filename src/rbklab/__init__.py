@@ -5,7 +5,6 @@ quantitative checks of the closed-form identities and asymptotic laws."""
 
 from .core import (
     AsymptoticLaw,
-    ConvergenceDiagnostic,
     SupportProfile,
     blowup_laws,
     embed_reduced,

@@ -24,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    AsymptoticLaw,
-    ConvergenceDiagnostic,
     blowup_laws,
     checked_factorial,
     longtime_laws,
@@ -84,6 +82,9 @@ def _fit_columns(x, v) -> list[PowerLawFit]:
     dv - slope dx.  Plain ufuncs and reductions, so no LAPACK call."""
     if x.size < 3:
         raise ValueError(f"need at least 3 pairs to fit, got {x.size}")
+    for name, data in (("x", x), ("v", v)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"power-law fitting requires finite data; {name} has NaN or inf")
     if np.any(x <= 0) or np.any(v <= 0):
         raise ValueError("power-law fitting requires positive data")
     dx = np.diff(x)
@@ -105,20 +106,22 @@ def _fit_columns(x, v) -> list[PowerLawFit]:
 @dataclass(frozen=True)
 class BlowupReport:
     """Residuals and window fits of a phi-chart run against the blowup laws
-    phi_j ~ A_j / (omega - y)^alpha_j."""
+    phi_j ~ A_j / (omega - y)^alpha_j; residuals[j] is sampled on the run's
+    abscissae."""
 
-    diagnostics: dict[int, ConvergenceDiagnostic]
+    residuals: dict[int, np.ndarray]
     fitted: dict[int, PowerLawFit]
-    theoretical: dict[int, AsymptoticLaw]
     window: tuple[float, float]  # y-range of the fit window
 
 
 def blowup_diagnostic(traj, omega: float) -> BlowupReport:
     """Per-component residuals rho_j(y) = phi_j (omega - y)^alpha_j / A_j - 1
     and power-law fits of phi_j against (omega - y) over the terminal window
-    (top two decades of phi_1); omega is the blowup point as a number."""
+    (top two decades of phi_1); omega is the blowup point as a finite number."""
     if traj.chart != "phi-y":
         raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     y = traj.abscissae
     if omega <= y[-1]:
         raise ValueError(f"omega={omega} does not exceed the last sampled y={y[-1]}")
@@ -130,25 +133,24 @@ def blowup_diagnostic(traj, omega: float) -> BlowupReport:
     if window.sum() < 3:
         window = np.ones_like(phi1, dtype=bool)
 
-    diagnostics = {}
-    for j in range(1, n):
-        law = laws[j]
-        rho = traj.states[:, j - 1] * gap**law.exponent / law.prefactor - 1.0
-        diagnostics[j] = ConvergenceDiagnostic(abscissae=y, residuals=rho)
+    residuals = {
+        j: traj.states[:, j - 1] * gap**law.exponent / law.prefactor - 1.0
+        for j, law in laws.items()
+    }
     fitted = dict(enumerate(_fit_columns(gap[window], traj.states[window]), start=1))
     y_win = y[window]
     return BlowupReport(
-        diagnostics=diagnostics,
+        residuals=residuals,
         fitted=fitted,
-        theoretical=laws,
         window=(float(y_win[0]), float(y_win[-1])),
     )
 
 
-def psi_diagnostic(traj) -> dict[int, ConvergenceDiagnostic]:
+def psi_diagnostic(traj) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Residuals of the polynomial laws of the twice-rescaled chart,
     rho^_j(tau) = psi_j(tau) (N-j)! / tau^(N-j) - 1, with psi_j(tau(y)) read
-    off as phi_j(y).
+    off as phi_j(y).  Returns (tau, {j: rho^_j}) over the samples with
+    tau > 0, for j = 1 .. N-1.
 
     For j = N-1 the chart is exactly linear, psi_{N-1}(tau) = tau + psi_{N-1}(0),
     so that residual equals psi_{N-1}(0)/tau up to rounding.
@@ -157,23 +159,24 @@ def psi_diagnostic(traj) -> dict[int, ConvergenceDiagnostic]:
         raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
     if "tau" not in traj.aux:
         raise ValueError("trajectory lacks the tau accumulator")
-    tau = traj.aux["tau"]
-    mask = tau > 0
+    mask = traj.aux["tau"] > 0
     if mask.sum() < 2:
         raise ValueError("need at least 2 samples with tau > 0")
+    tau = traj.aux["tau"][mask]
+    states = traj.states[mask]
     n = traj.dim + 1
-    out = {}
-    for j in range(1, n):
-        k = n - j
-        psi = traj.states[mask, j - 1]
-        rho = psi * checked_factorial(k) / tau[mask] ** k - 1.0
-        out[j] = ConvergenceDiagnostic(abscissae=tau[mask], residuals=rho)
-    return out
+    return tau, {
+        j: states[:, j - 1] * checked_factorial(n - j) / tau ** (n - j) - 1.0
+        for j in range(1, n)
+    }
 
 
-def longtime_diagnostic(traj, *, variant: str = "reduction") -> dict[int, ConvergenceDiagnostic]:
+def longtime_diagnostic(
+    traj, *, variant: str = "reduction"
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Residuals e_j(t) = c_j t (log t)^(j/m - 1) / A~_j - 1 on the support
     lattice of the run's first sample; samples with t <= 1 are excluded.
+    Returns (t, {j: e_j}) over the samples with t > 1.
 
     Off-lattice components must be exactly zero at every sample (the support
     lattice is invariant; anything else falsifies the run).  variant selects
@@ -194,18 +197,16 @@ def longtime_diagnostic(traj, *, variant: str = "reduction") -> dict[int, Conver
         laws = longtime_laws_ambient(traj.dim, m, p)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    t = traj.abscissae
-    mask = t > 1.0
+    mask = traj.abscissae > 1.0
     if mask.sum() < 2:
         raise ValueError("need samples beyond t = 1 for long-time residuals")
-    logt = np.log(t[mask])
-    out = {}
-    for j in lattice:
-        law = laws[j]
-        c = traj.states[mask, j - 1]
-        e = c * t[mask] * logt**law.exponent / law.prefactor - 1.0
-        out[j] = ConvergenceDiagnostic(abscissae=t[mask], residuals=e)
-    return out
+    t = traj.abscissae[mask]
+    states = traj.states[mask]
+    logt = np.log(t)
+    return t, {
+        j: states[:, j - 1] * t * logt ** laws[j].exponent / laws[j].prefactor - 1.0
+        for j in lattice
+    }
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,8 @@ def _simulate_and_write(run: dict, csv_path) -> Trajectory:
     traj = _simulate_trajectory(run)
     if run["verify_theorem"]:
         # diagnosed before anything is written: a failing diagnostic leaves no file
-        diags = asymptotics.longtime_diagnostic(traj)
-        report = {str(j): {"final_residual": d.final_residual} for j, d in diags.items()}
+        _, residuals = asymptotics.longtime_diagnostic(traj)
+        report = {str(j): {"final_residual": float(e[-1])} for j, e in residuals.items()}
     write_trajectory_csv(traj, csv_path)
     if run["verify_theorem"]:
         write_json(report, Path(csv_path).with_suffix(".report.json"))
@@ -394,8 +394,8 @@ def cmd_blowup(args) -> int:
         "integrator": dataclasses.asdict(traj.stats),
     }
     if traj.n_samples >= 3:
-        psi = asymptotics.psi_diagnostic(traj)
-        worst = max(abs(d.final_residual) for d in psi.values())
+        _, psi = asymptotics.psi_diagnostic(traj)
+        worst = max(abs(rho[-1]) for rho in psi.values())
         report["flags"]["laws_unconverged"] = bool(worst >= asymptotics.PSI_RESIDUAL_TOL)
         fit_report = asymptotics.blowup_diagnostic(traj, estimate.omega)
         report["fitted_laws"] = {
@@ -493,16 +493,17 @@ def _omega_fixture(phi0):
 def _asymptotics_checks(run: dict) -> list:
     traj, estimate = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
     rep = asymptotics.blowup_diagnostic(traj, estimate.omega)
+    laws = blowup_laws(run["c0"].size)
     exp_err = max(
-        abs(rep.fitted[j].exponent / rep.theoretical[j].exponent - 1.0)
+        abs(rep.fitted[j].exponent / laws[j].exponent - 1.0)
         for j in rep.fitted
     )
     pre_err = max(
-        abs(rep.fitted[j].prefactor / rep.theoretical[j].prefactor - 1.0)
+        abs(rep.fitted[j].prefactor / laws[j].prefactor - 1.0)
         for j in rep.fitted
     )
-    psi = asymptotics.psi_diagnostic(traj)
-    psi_final = max(abs(d.final_residual) for d in psi.values())
+    _, psi = asymptotics.psi_diagnostic(traj)
+    psi_final = max(abs(rho[-1]) for rho in psi.values())
     ratios = asymptotics.ratio_divergence(traj)
     ratios_ok = all(r.increasing and r.exceeds_threshold for r in ratios.values())
     checks = [
@@ -580,15 +581,13 @@ def _theorem_constants_checks(args) -> list:
                        "verify_theorem": True})
     traj = _simulate_trajectory(run)
 
-    def final_decades(diags):
-        # max |e_j| four and two decades before t_end and at t_end; every
-        # series of one diagnostic shares the run's abscissae
-        t = next(iter(diags.values())).abscissae
+    def final_decades(t, residuals):
+        # max |e_j| four and two decades before t_end and at t_end
         rows = [int(np.argmin(np.abs(t - run["t_end"] * frac))) for frac in (1e-4, 1e-2, 1.0)]
-        return np.abs([d.residuals[rows] for d in diags.values()]).max(axis=0).tolist()
+        return np.abs([e[rows] for e in residuals.values()]).max(axis=0).tolist()
 
-    red = final_decades(asymptotics.longtime_diagnostic(traj, variant="reduction"))
-    amb = final_decades(asymptotics.longtime_diagnostic(traj, variant="ambient"))
+    red = final_decades(*asymptotics.longtime_diagnostic(traj, variant="reduction"))
+    amb = final_decades(*asymptotics.longtime_diagnostic(traj, variant="ambient"))
     red_matches = red[-1] < _VERDICT_THRESHOLD and red[0] > red[1] > red[2]
     variants_differ = any(
         reduction[j].prefactor != ambient[j].prefactor for j in reduction

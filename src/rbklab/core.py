@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "MAX_LAW_DIMENSION",
     "AsymptoticLaw",
-    "ConvergenceDiagnostic",
     "SupportProfile",
     "blowup_laws",
     "checked_factorial",
@@ -85,30 +84,6 @@ class AsymptoticLaw:
 
     exponent: float
     prefactor: float
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostic:
-    """A measured residual series against strictly increasing abscissae."""
-
-    abscissae: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        x = _as_vector(self.abscissae, "abscissae").copy()
-        r = np.asarray(self.residuals, dtype=float).copy()
-        if r.shape != x.shape:
-            raise ValueError("abscissae and residuals must have equal length")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("abscissae must be strictly increasing")
-        x.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "residuals", r)
-
-    @property
-    def final_residual(self) -> float:
-        return float(self.residuals[-1])
 
 
 # ---------------------------------------------------------------------------

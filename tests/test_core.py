@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rbklab.core import (
-    ConvergenceDiagnostic,
     SupportProfile,
     blowup_laws,
     embed_reduced,
@@ -386,11 +385,3 @@ def test_support_profile_validation():
     for reject in (support_profile, gcd_reduce):
         with pytest.raises(ValueError, match="empty support"):
             reject([0.0, 0.0, 0.0])
-
-
-def test_convergence_diagnostic_validation():
-    ConvergenceDiagnostic([1.0, 2.0], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        ConvergenceDiagnostic([2.0, 1.0], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        ConvergenceDiagnostic([1.0, 2.0], [0.1])
