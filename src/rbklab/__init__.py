@@ -18,7 +18,6 @@ from .core import (
     support_profile,
 )
 from .integrate import (
-    BlowupEstimate,
     IntegrationError,
     IntegrationStats,
     IntegratorSettings,

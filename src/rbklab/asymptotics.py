@@ -33,9 +33,9 @@ from .core import (
 
 __all__ = [
     "PSI_RESIDUAL_TOL",
+    "RATIO_THRESHOLD",
     "BlowupReport",
     "PowerLawFit",
-    "RatioTrend",
     "blowup_diagnostic",
     "fit_power_law",
     "longtime_diagnostic",
@@ -49,7 +49,7 @@ __all__ = [
 PSI_RESIDUAL_TOL = 0.1
 
 # value every ratio phi_j/phi_{j+1} must end above near blowup (ratio_divergence)
-_RATIO_THRESHOLD = 10.0
+RATIO_THRESHOLD = 10.0
 
 
 class PowerLawFit(NamedTuple):
@@ -118,8 +118,8 @@ def blowup_diagnostic(traj, omega: float) -> BlowupReport:
     """Per-component residuals rho_j(y) = phi_j (omega - y)^alpha_j / A_j - 1
     and power-law fits of phi_j against (omega - y) over the terminal window
     (top two decades of phi_1); omega is the blowup point as a finite number."""
-    if traj.chart != "phi-y":
-        raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
+    if traj.chart != "y":
+        raise ValueError(f"expected a trajectory in y, got chart {traj.chart!r}")
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     y = traj.abscissae
@@ -155,8 +155,8 @@ def psi_diagnostic(traj) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     For j = N-1 the chart is exactly linear, psi_{N-1}(tau) = tau + psi_{N-1}(0),
     so that residual equals psi_{N-1}(0)/tau up to rounding.
     """
-    if traj.chart != "phi-y":
-        raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
+    if traj.chart != "y":
+        raise ValueError(f"expected a trajectory in y, got chart {traj.chart!r}")
     if "tau" not in traj.aux:
         raise ValueError("trajectory lacks the tau accumulator")
     mask = traj.aux["tau"] > 0
@@ -183,8 +183,8 @@ def longtime_diagnostic(
     the prefactor convention: "reduction" uses the effective dimension p/m,
     "ambient" the as-printed convention in the run's own dimension N.
     """
-    if traj.chart not in ("t", "log-t"):
-        raise ValueError(f"expected a time-chart trajectory, got {traj.chart!r}")
+    if traj.chart != "t":
+        raise ValueError(f"expected a trajectory in t, got chart {traj.chart!r}")
     profile = support_profile(traj.states[0])
     m, p = profile.m, profile.p
     lattice = [j for j in range(m, p + 1, m)]
@@ -209,35 +209,18 @@ def longtime_diagnostic(
     }
 
 
-@dataclass(frozen=True)
-class RatioTrend:
-    """Trend report for one ratio series phi_j/phi_{j+1} (phi_N == 1)."""
-
-    increasing: bool        # strictly increasing over the last decade of phi_1
-    final_value: float
-    exceeds_threshold: bool
-
-
-def ratio_divergence(traj) -> dict[int, RatioTrend]:
-    """Ratio series phi_j/phi_{j+1} of a phi-chart run; near blowup every
-    ratio diverges, so each series should be increasing over the final decade
-    of phi_1 and end above _RATIO_THRESHOLD."""
-    if traj.chart != "phi-y":
-        raise ValueError(f"expected a phi-y trajectory, got {traj.chart!r}")
+def ratio_divergence(traj) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Ratio series phi_j/phi_{j+1} (phi_N == 1) of a phi-chart run over the
+    last decade of phi_1, or over every sample when fewer than two lie
+    there.  Returns (y, {j: phi_j/phi_{j+1}}) for j = 1 .. N-1.  Near blowup
+    every ratio diverges, so each series should increase and end above
+    RATIO_THRESHOLD."""
+    if traj.chart != "y":
+        raise ValueError(f"expected a trajectory in y, got chart {traj.chart!r}")
     phi1 = traj.states[:, 0]
     last_decade = phi1 >= phi1[-1] / 10.0
     if last_decade.sum() < 2:
         last_decade = np.ones_like(phi1, dtype=bool)
-    n = traj.dim + 1
-    out = {}
-    for j in range(1, n):
-        upper = traj.states[:, j - 1]
-        lower = traj.states[:, j] if j < n - 1 else np.ones_like(upper)
-        ratios = upper / lower
-        tail = ratios[last_decade]
-        out[j] = RatioTrend(
-            increasing=bool(np.all(np.diff(tail) > 0)),
-            final_value=float(ratios[-1]),
-            exceeds_threshold=bool(ratios[-1] > _RATIO_THRESHOLD),
-        )
-    return out
+    phi = traj.states[last_decade]
+    ratios = phi / np.column_stack([phi[:, 1:], np.ones(len(phi))])
+    return traj.abscissae[last_decade], {j: ratios[:, j - 1] for j in range(1, traj.dim + 1)}

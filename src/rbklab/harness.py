@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .core import nu_odd_closed, self_similar
 
 __all__ = [
     "DEFAULT_FIXTURES_PATH",
-    "SelfSimilarReport",
     "fixtures_path",
     "generate_fixtures",
     "identity_suite",
@@ -204,20 +202,12 @@ def identity_suite(traj) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class SelfSimilarReport:
-    """Deviation of an N-truncated run from the self-similar profile of the
-    infinite system, over j <= N//3 where truncation effects are smallest."""
-
-    max_rel_deviation: float
-    j_max: int
-
-
-def self_similar_residual(traj, alpha: float, kappa: float) -> SelfSimilarReport:
+def self_similar_residual(traj, alpha: float, kappa: float) -> float:
     """Maximal relative deviation of a t-chart run of the N-truncated system,
     started from the truncated self-similar profile
-    self_similar(alpha, kappa, 0, N), from that profile for j <= N//3 at
-    every sample, with N = traj.dim.
+    self_similar(alpha, kappa, 0, N), from that profile for
+    j <= max(1, N//3), where truncation effects are smallest, at every
+    sample, with N = traj.dim.
 
     Requires alpha^N < 1e-8 so truncation is genuinely negligible; the
     reported deviation is observational, not a proven bound.
@@ -232,7 +222,7 @@ def self_similar_residual(traj, alpha: float, kappa: float) -> SelfSimilarReport
         [self_similar(alpha, kappa, ti, N)[:j_max] for ti in traj.abscissae]
     )
     dev = _rel_err(traj.states[:, :j_max], profile)
-    return SelfSimilarReport(max_rel_deviation=float(dev.max()), j_max=j_max)
+    return float(dev.max())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from . import core
 from .core import checked_factorial, rbk_field
 
 __all__ = [
-    "BlowupEstimate",
     "IntegrationError",
     "IntegrationStats",
     "IntegratorSettings",
@@ -38,6 +37,11 @@ __all__ = [
     "integrate_rbk",
     "sample_grid",
 ]
+
+
+def _is_count(n) -> bool:
+    """n is an integer and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 class IntegrationError(RuntimeError):
@@ -59,9 +63,10 @@ class IntegratorSettings:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+        # a bool is a number to Python, but True is no tolerance or budget
+        if any(isinstance(v, bool) or not 0 < v < math.inf for v in (self.rtol, self.atol)):
             raise ValueError("rtol and atol must be finite and positive")
-        if not isinstance(self.max_steps, numbers.Integral) or self.max_steps <= 0:
+        if not _is_count(self.max_steps) or self.max_steps <= 0:
             raise ValueError("max_steps must be a positive integer")
 
 
@@ -75,7 +80,7 @@ class IntegrationStats:
     a non-finite new state, rate there, error or dense output.  clamped
     counts accepted steps whose densities were clamped to zero, rhs_evals
     the calls of the rate function (dense-output stages included), and
-    h_min/h_max bound the accepted step sizes in the chart's own abscissa.
+    h_min/h_max bound the accepted step sizes in s.
     """
 
     accepted: int = 0
@@ -96,17 +101,15 @@ class IntegrationStats:
 class Trajectory:
     """Immutable ordered samples of one chart.
 
-    chart is one of {"t", "log-t", "phi-y"}; abscissae are reported in t for
-    both time charts, which differ only in their sample grids, and in y for
-    the phi chart.  aux maps accumulator names to per-sample values
-    integrated alongside the state.  stats holds the integrator's counters
-    when the trajectory came out of a run.
+    chart names the abscissa, one of CHARTS: "t" for the densities c of both
+    time drivers, "y" for the phi of the phi driver, and "s" for a run of
+    integrate_adaptive, in the variable it integrated over.  aux maps
+    accumulator names to per-sample values integrated alongside the state.
+    stats holds the integrator's counters when the trajectory came out of a
+    run.
     """
 
-    # chart -> the abscissa integrate_adaptive integrates in: t for a generic
-    # run, s = log(1 + t) for the density runs of both time charts (tagged
-    # log-t while they integrate) and s = log(1 + tau) for phi-y
-    CHARTS = {"t": "t", "log-t": "s", "phi-y": "s"}
+    CHARTS = ("t", "s", "y")
 
     chart: str
     abscissae: np.ndarray
@@ -117,7 +120,7 @@ class Trajectory:
 
     def __post_init__(self):
         if self.chart not in self.CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}; expected one of {tuple(self.CHARTS)}")
+            raise ValueError(f"unknown chart {self.chart!r}; expected one of {self.CHARTS}")
         x = np.asarray(self.abscissae, dtype=float)
         s = np.asarray(self.states, dtype=float)
         if x.ndim != 1 or s.ndim != 2 or s.shape[0] != x.size:
@@ -157,15 +160,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class BlowupEstimate:
-    """Blowup point omega of the phi chart with its error bar, as
-    integrate_phi_to_blowup finds them."""
-
-    omega: float
-    uncertainty: float
 
 
 def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
@@ -367,7 +361,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # step-size exponent of Hairer's controller for an 8th-order pair
 _EXPONENT = 1.0 / 8.0
-# smallest step relative to |t|; below it the step has underflowed
+# smallest step relative to |s|; below it the step has underflowed
 _H_FLOOR = 16 * np.finfo(float).eps
 
 
@@ -434,10 +428,11 @@ def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
     return min(100 * h0, h1, t_span)
 
 
-def _where(var: str, t: float, h_last) -> str:
-    """Where a run failed: the chart's own abscissa and the last accepted h."""
+def _where(s: float, h_last) -> str:
+    """Where a run failed: the abscissa s it integrates in and the last
+    accepted h."""
     last = "no step accepted" if h_last is None else f"last accepted h={h_last:.6g}"
-    return f"{var}={t:.6g} ({last})"
+    return f"s={s:.6g} ({last})"
 
 
 # a trial stage that overflows, divides by zero or turns NaN is rejected by
@@ -453,9 +448,8 @@ def integrate_adaptive(
     aux_names=(),
     nonneg_guard: bool = True,
     stop_when=None,
-    chart: str = "t",
 ) -> Trajectory:
-    """Adaptive DOP853 integration of dz/dt = rate(t, z).
+    """Adaptive DOP853 integration of dz/ds = rate(s, z).
 
     z = (x, accumulators): the last len(aux_names) components of z are the
     named accumulators, reported in Trajectory.aux, and the leading ones the
@@ -483,17 +477,16 @@ def integrate_adaptive(
     nonneg_guard enforces the density invariant on x: a component below
     -atol rejects the step, and accepted or interpolated values below 0 are
     clamped to exact zero (undershoot beyond the guard cannot be accepted).
-    stop_when(t, z), checked on the whole vector after each accepted step,
-    ends the run early (used for blowup runs).  chart tags the trajectory,
-    whose abscissae stay in the variable integrated over (the drivers map s
-    back to t or y), and a failure names that abscissa (Trajectory.CHARTS)
-    and the last accepted h.
-    The returned trajectory carries the run's IntegrationStats.
+    stop_when(s, z), checked on the whole vector after each accepted step,
+    ends the run early (used for blowup runs).  The returned trajectory is
+    in chart "s": its abscissae stay in s (the drivers map them to t or y).
+    It carries the run's IntegrationStats, and a failure names s and the
+    last accepted h.
     """
     if settings is None:
         settings = IntegratorSettings()
-    t0, t_end = float(span[0]), float(span[1])
-    if not t_end > t0:
+    s0, s_end = float(span[0]), float(span[1])
+    if not s_end > s0:
         raise ValueError(f"span must satisfy start < end, got {span}")
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim != 1 or not np.isfinite(z0).all():
@@ -501,32 +494,31 @@ def integrate_adaptive(
     dim = z0.size - len(aux_names)
     if dim < 1:
         raise ValueError("z0 needs state components ahead of the accumulators")
-    var = Trajectory.CHARTS[chart]
 
     rtol, atol = settings.rtol, settings.atol
 
     def scale_of(z):
         return atol + rtol * np.abs(z)
 
-    # the grid points in (t0, t_end]; grid_idx indexes the first still ahead
+    # the grid points in (s0, s_end]; grid_idx indexes the first still ahead
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
-        grid = grid[(grid > t0) & (grid <= t_end)]
+        grid = grid[(grid > s0) & (grid <= s_end)]
         if (np.diff(grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
 
-    # k[0] always holds the rate at the current (t, z): FSAL after an
+    # k[0] always holds the rate at the current (s, z): FSAL after an
     # accepted step, untouched by a rejected one
     k = np.empty((16, z0.size))
-    t, z = t0, z0
-    k[0] = rate(t, z)
+    s, z = s0, z0
+    k[0] = rate(s, z)
     if not _all_finite(k[0]):
-        raise IntegrationError(f"non-finite rate at the initial state at {_where(var, t, None)}")
-    h = _initial_step(rate, t, z, k[0], t_end - t0, scale_of)
+        raise IntegrationError(f"non-finite rate at the initial state at {_where(s, None)}")
+    h = _initial_step(rate, s, z, k[0], s_end - s0, scale_of)
     n_evals = 2  # k[0] and the probe of _initial_step
 
     # accepted vectors are fresh arrays never written again, so no copies
-    ts = [t]
+    ss = [s]
     zs = [z]
     grid_idx = 0
     n_attempts = n_accepted = n_clamped = 0
@@ -534,19 +526,19 @@ def integrate_adaptive(
     h_lo, h_hi, h_last = math.inf, 0.0, None
     stopped = False
 
-    while t < t_end:
+    while s < s_end:
         if n_attempts >= settings.max_steps:
             raise IntegrationError(
-                f"max_steps={settings.max_steps} exhausted at {_where(var, t, h_last)}: "
+                f"max_steps={settings.max_steps} exhausted at {_where(s, h_last)}: "
                 "settings too tight for the requested span"
             )
-        h_min = _H_FLOOR * max(abs(t), 1e-30)
+        h_min = _H_FLOOR * max(abs(s), 1e-30)
         if not h >= h_min:  # also catches a NaN step
-            raise IntegrationError(f"step size underflow at {_where(var, t, h_last)}")
+            raise IntegrationError(f"step size underflow at {_where(s, h_last)}")
 
         # clip onto the span end
-        h_step = min(h, t_end - t)
-        t_new = t_end if h_step >= t_end - t else t + h_step
+        h_step = min(h, s_end - s)
+        s_new = s_end if h_step >= s_end - s else s + h_step
 
         n_attempts += 1
         # a stage rate that raises, a non-finite new state, rate there or
@@ -555,10 +547,10 @@ def integrate_adaptive(
         stage, err = 0, math.nan
         try:
             for stage, (node, a_row) in enumerate(_STAGES, 1):
-                k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
+                k[stage] = rate(s + node * h_step, z + h_step * (a_row @ k[:stage]))
             z_new = z + h_step * (_B @ k[:12])
             stage = 12
-            k[12] = rate(t_new, z_new)
+            k[12] = rate(s_new, z_new)
             if _all_finite(z_new) and _all_finite(k[12]):
                 scale = np.abs(z)
                 np.maximum(scale, np.abs(z_new), out=scale)
@@ -580,13 +572,13 @@ def integrate_adaptive(
         # continuous extension, whose three stages run only then
         j = grid_idx
         if err <= 1.0 and grid is not None:
-            j = int(grid.searchsorted(t_new))
+            j = int(grid.searchsorted(s_new))
             if j > grid_idx:
                 stage, block = 12, None
                 try:
                     for stage, (node, a_row) in enumerate(_DENSE_STAGES, 13):
-                        k[stage] = rate(t + node * h_step, z + h_step * (a_row @ k[:stage]))
-                    block = _dense_output(z, z_new, h_step, k, (grid[grid_idx:j] - t) / h_step)
+                        k[stage] = rate(s + node * h_step, z + h_step * (a_row @ k[:stage]))
+                    block = _dense_output(z, z_new, h_step, k, (grid[grid_idx:j] - s) / h_step)
                 except (ValueError, FloatingPointError, OverflowError):
                     pass
                 n_evals += stage - 12
@@ -607,17 +599,17 @@ def integrate_adaptive(
 
         # accepted: the block was filled from this step's stage rates before
         # k[0] moves on; a strictly increasing grid holds at most one point
-        # at t_new itself
+        # at s_new itself
         if j > grid_idx:
             if nonneg_guard:
                 x = block[:, :dim]
                 x[x < 0.0] = 0.0
-            ts.extend(grid[grid_idx:j])
+            ss.extend(grid[grid_idx:j])
             zs.extend(block)
-        on_grid = grid is not None and j < grid.size and grid[j] == t_new
+        on_grid = grid is not None and j < grid.size and grid[j] == s_new
         grid_idx = j + 1 if on_grid else j
 
-        t, z = t_new, z_new
+        s, z = s_new, z_new
         n_accepted += 1
         h_lo = min(h_lo, h_step)
         h_hi = max(h_hi, h_step)
@@ -626,15 +618,15 @@ def integrate_adaptive(
             n_clamped += 1
             x = z[:dim]
             x[x < 0.0] = 0.0
-            k[0] = rate(t, z)
+            k[0] = rate(s, z)
             n_evals += 1
         else:
             k[0] = k[12]
 
-        if stop_when is not None and stop_when(t, z):
+        if stop_when is not None and stop_when(s, z):
             stopped = True
-        if grid is None or on_grid or stopped or t >= t_end:
-            ts.append(t)
+        if grid is None or on_grid or stopped or s >= s_end:
+            ss.append(s)
             zs.append(z)
         if stopped:
             break
@@ -656,8 +648,8 @@ def integrate_adaptive(
         h_max=float(h_hi),
     )
     return Trajectory(
-        chart=chart,
-        abscissae=np.asarray(ts),
+        chart="s",
+        abscissae=np.asarray(ss),
         states=zs_arr[:, :dim],
         aux=aux,
         settings=settings,
@@ -678,13 +670,20 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
 
     The run is sampled on the grid and reported at the grid's t or, when
     points_per_decade is 0, at every accepted step, reported at t = e^s - 1
-    and the last at the grid's end.  States are reported as c = e^-s u, and a
-    failure names s.  c0 must be finite and nonnegative, and is refused
-    before the first field call.
+    and the last at the grid's end.  States are reported as c = e^-s u in
+    chart "t", and a failure names s.  c0 must be finite and nonnegative,
+    t_end finite and positive, and points_per_decade a nonnegative integer;
+    each is refused by name before the grid is built.
     """
     c0 = np.asarray(c0, dtype=float)
     if c0.ndim != 1 or c0.size < 1 or not (np.isfinite(c0) & (c0 >= 0)).all():
         raise ValueError("c0 must be a nonempty 1-D vector of finite nonnegative numbers")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not _is_count(points_per_decade) or points_per_decade < 0:
+        raise ValueError(
+            f"points_per_decade must be a nonnegative integer, got {points_per_decade!r}"
+        )
     s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     run = integrate_adaptive(
         _density_rate(c0.size),
@@ -694,11 +693,10 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
         grid=s_grid if points_per_decade > 0 else None,
         aux_names=_DENSITY_AUX,
         nonneg_guard=True,
-        chart="log-t",
     )
     s = run.abscissae
     t = t_grid if points_per_decade > 0 else np.append(np.expm1(s[:-1]), t_grid[-1])
-    return replace(run, chart=chart, abscissae=t, states=np.exp(-s)[:, None] * run.states)
+    return replace(run, chart="t", abscissae=t, states=np.exp(-s)[:, None] * run.states)
 
 
 def integrate_rbk(
@@ -734,7 +732,7 @@ def integrate_phi_to_blowup(
     phi0,
     cap: float = 1e10,
     settings: IntegratorSettings | None = None,
-) -> tuple[Trajectory, BlowupEstimate]:
+) -> tuple[Trajectory, float, float]:
     """Run the phi chart past phi_1 = cap and find its blowup point omega.
 
     The run is made in the twice-rescaled chart psi_j(tau) = phi_j(y(tau)),
@@ -756,9 +754,9 @@ def integrate_phi_to_blowup(
     and that bound is below eps*y; omega is y plus the bound, and its
     uncertainty rtol*omega plus the bound.
 
-    The trajectory is reported in the phi chart, up to the first sample with
-    phi_1 >= cap: abscissae y, states phi (its first row phi0 itself) and the
-    tau accumulator.  It carries the run's IntegrationStats, and a failure
+    Returns (traj, omega, uncertainty).  The trajectory is reported in chart
+    "y", up to the first sample with phi_1 >= cap: abscissae y, states phi
+    (its first row phi0 itself) and the tau accumulator.  It carries the run's IntegrationStats, and a failure
     names s.  Across those rows the integrated log psi_j must not decrease
     and y must increase strictly, so a run whose y reaches omega to double
     precision before phi_1 reaches the cap fails.
@@ -817,7 +815,6 @@ def integrate_phi_to_blowup(
             aux_names=("y",),
             nonneg_guard=False,
             stop_when=converged,
-            chart="phi-y",
         )
     except IntegrationError as exc:
         raise IntegrationError(
@@ -837,7 +834,7 @@ def integrate_phi_to_blowup(
             "below y's double-precision resolution; lower the cap"
         )
     traj = Trajectory(
-        chart="phi-y",
+        chart="y",
         abscissae=y[:rows],
         states=phi[:rows],
         aux={"tau": tau[:rows]},
@@ -847,4 +844,4 @@ def integrate_phi_to_blowup(
 
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     omega = float(y[-1]) + tail
-    return traj, BlowupEstimate(omega=omega, uncertainty=settings.rtol * omega + tail)
+    return traj, omega, settings.rtol * omega + tail

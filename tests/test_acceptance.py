@@ -86,8 +86,8 @@ def test_criterion_4_blowup_exponents(blowup_n4):
     """N=4, phi0=(1,1,1), cap=1e10: fitted exponents within 5% of
     (3/2, 1, 1/2), prefactors within 20%, residuals shrinking over the final
     two decades."""
-    traj, estimate = blowup_n4
-    rep = blowup_diagnostic(traj, estimate.omega)
+    traj, omega, _ = blowup_n4
+    rep = blowup_diagnostic(traj, omega)
     laws = blowup_laws(traj.dim + 1)
     exp_err = max(
         abs(rep.fitted[j].exponent / laws[j].exponent - 1.0)
@@ -114,7 +114,7 @@ def test_criterion_4_blowup_exponents(blowup_n4):
 def test_criterion_5_psi_polynomial_law(blowup_n4):
     """Same run: |rho^_j(tau_max)| < 0.1 for all j, and the j=N-1 residual
     equals psi_{N-1}(0)/tau to 1e-9."""
-    traj, _ = blowup_n4
+    traj, _, _ = blowup_n4
     tau, residuals = psi_diagnostic(traj)
     worst = max(abs(float(rho[-1])) for rho in residuals.values())
     closed_dev = float(
@@ -137,9 +137,9 @@ def test_criterion_6_omega_consistency(oracle_fixtures):
     for n in (3, 4, 5):
         oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
         for cap in (1e8, 1e10):
-            _, est = integrate_phi_to_blowup(np.ones(n - 1), cap=cap)
-            error = abs(est.omega - oracle["omega"])
-            bar = est.uncertainty + oracle["error_estimate"]
+            _, omega, uncertainty = integrate_phi_to_blowup(np.ones(n - 1), cap=cap)
+            error = abs(omega - oracle["omega"])
+            bar = uncertainty + oracle["error_estimate"]
             ok &= error <= bar
             details.append(f"N={n}, cap {cap:.0e}: |error| {error:.2e} <= {bar:.2e}")
     _report("criterion 6 (omega estimation consistency)", ok, "; ".join(details))
@@ -217,9 +217,10 @@ def test_criterion_10_self_similar_oracle():
     """N=40, alpha=0.5, kappa=1, t in [0,100]: for j <= 13 the run deviates
     from the truncated self-similar profile by less than 1e-6 relative."""
     traj = integrate_rbk(self_similar(0.5, 1.0, 0.0, 40), 100.0)
-    report = self_similar_residual(traj, 0.5, 1.0)
+    deviation = self_similar_residual(traj, 0.5, 1.0)
+    j_max = max(1, traj.dim // 3)
     _report(
         "criterion 10 (self-similar truncated oracle)",
-        report.j_max == 13 and report.max_rel_deviation < 1e-6,
-        f"max rel deviation {report.max_rel_deviation:.3e} < 1e-6 for j <= {report.j_max}",
+        j_max == 13 and deviation < 1e-6,
+        f"max rel deviation {deviation:.3e} < 1e-6 for j <= {j_max}",
     )

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rbklab.asymptotics import (
+    RATIO_THRESHOLD,
     blowup_diagnostic,
     fit_power_law,
     longtime_diagnostic,
@@ -90,7 +91,7 @@ def _synthetic_blowup(n, omega, y):
     states = np.column_stack(
         [laws[j].prefactor / (omega - y) ** laws[j].exponent for j in range(1, n)]
     )
-    return Trajectory(chart="phi-y", abscissae=y, states=states)
+    return Trajectory(chart="y", abscissae=y, states=states)
 
 
 def test_blowup_diagnostic_exact_law():
@@ -132,11 +133,11 @@ def test_blowup_fits_agree_with_polyfit():
     kept here as the independent reference) within 1e-12 on every law of the
     28 blowup runs."""
     count = 0
-    for n, (traj, estimate) in _workload_runs():
-        rep = blowup_diagnostic(traj, estimate.omega)
+    for n, (traj, omega, _) in _workload_runs():
+        rep = blowup_diagnostic(traj, omega)
         y = traj.abscissae
         window = (y >= rep.window[0]) & (y <= rep.window[1])
-        lx = np.log(estimate.omega - y[window])
+        lx = np.log(omega - y[window])
         for j, fit in rep.fitted.items():
             lv = np.log(traj.states[window, j - 1])
             slope, intercept = np.polyfit(lx, lv, 1)
@@ -158,8 +159,8 @@ def test_fits_make_no_lapack_call(monkeypatch, blowup_n4):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     x = np.geomspace(1e-6, 1e-1, 40)
     assert fit_power_law(x, 2.0 * x**-1.5).exponent == pytest.approx(1.5, rel=1e-13)
-    traj, estimate = blowup_n4
-    assert sorted(blowup_diagnostic(traj, estimate.omega).fitted) == [1, 2, 3]
+    traj, omega, _ = blowup_n4
+    assert sorted(blowup_diagnostic(traj, omega).fitted) == [1, 2, 3]
 
 
 def test_blowup_diagnostic_rejects_low_omega():
@@ -178,8 +179,8 @@ def test_blowup_diagnostic_rejects_non_finite_omega(omega):
 
 
 def test_blowup_diagnostic_real_run(blowup_n4):
-    traj, estimate = blowup_n4
-    rep = blowup_diagnostic(traj, estimate.omega)
+    traj, omega, _ = blowup_n4
+    rep = blowup_diagnostic(traj, omega)
     laws = blowup_laws(4)
     for j in rep.fitted:
         assert abs(rep.fitted[j].exponent / laws[j].exponent - 1) < 0.05
@@ -203,7 +204,7 @@ def test_psi_diagnostic_exact_polynomial():
         [tau ** (n - j) / math.factorial(n - j) for j in range(1, n)]
     )
     traj = Trajectory(
-        chart="phi-y", abscissae=np.linspace(0, 1, tau.size), states=states,
+        chart="y", abscissae=np.linspace(0, 1, tau.size), states=states,
         aux={"tau": tau},
     )
     for rho in psi_diagnostic(traj)[1].values():
@@ -211,7 +212,7 @@ def test_psi_diagnostic_exact_polynomial():
 
 
 def test_psi_diagnostic_requires_tau():
-    traj = Trajectory("phi-y", [0.0, 1.0], [[1.0, 1.0], [2.0, 2.0]])
+    traj = Trajectory("y", [0.0, 1.0], [[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="tau"):
         psi_diagnostic(traj)
 
@@ -219,7 +220,7 @@ def test_psi_diagnostic_requires_tau():
 def test_psi_last_component_closed_form(blowup_n4):
     """psi_{N-1}(tau) = tau + psi_{N-1}(0) exactly, so its residual is
     psi_{N-1}(0)/tau."""
-    traj, _ = blowup_n4
+    traj, _, _ = blowup_n4
     tau, residuals = psi_diagnostic(traj)
     psi0 = traj.states[0, -1]
     expected = psi0 / tau
@@ -227,7 +228,7 @@ def test_psi_last_component_closed_form(blowup_n4):
 
 
 def test_psi_residuals_decay_on_real_run(blowup_n4):
-    traj, _ = blowup_n4
+    traj, _, _ = blowup_n4
     tau, residuals = psi_diagnostic(traj)
     i3 = int(np.argmin(np.abs(tau - 1e3)))
     for rho in residuals.values():
@@ -256,7 +257,7 @@ def test_longtime_diagnostic_lattice_mismatch():
     """The first row lies on the m = 2 lattice; a later row that leaves it
     falsifies the run."""
     states = np.array([[0.0, 1.0, 0.0, 1.0], [0.1, 0.5, 0.0, 0.5]])
-    traj = Trajectory("log-t", [2.0, 4.0], states)
+    traj = Trajectory("t", [2.0, 4.0], states)
     with pytest.raises(ValueError, match="lattice mismatch"):
         longtime_diagnostic(traj)
 
@@ -268,7 +269,7 @@ def test_longtime_diagnostic_synthetic_exact():
     states = np.column_stack(
         [prefs[j] / (t * np.log(t) ** (j - 1)) for j in (1, 2, 3)]
     )
-    traj = Trajectory("log-t", t, states)
+    traj = Trajectory("t", t, states)
     for e in longtime_diagnostic(traj)[1].values():
         assert np.max(np.abs(e)) < 1e-12
 
@@ -284,7 +285,7 @@ def test_longtime_diagnostic_lattice_exact():
     for i, pref in zip((1, 2, 3), (1.0, 2.0, 2.0)):
         states[:, 2 * i - 1] = pref / (t * np.log(t) ** (i - 1))
     leading = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
-    traj = Trajectory("log-t", np.concatenate([[0.5], t]), np.vstack([leading, states]))
+    traj = Trajectory("t", np.concatenate([[0.5], t]), np.vstack([leading, states]))
     t_red, red = longtime_diagnostic(traj, variant="reduction")
     t_amb, amb = longtime_diagnostic(traj, variant="ambient")
     assert list(red) == list(amb) == [2, 4, 6]
@@ -310,25 +311,51 @@ def test_longtime_diagnostic_ambient_variant(logtime_n3):
 
 
 def test_ratio_divergence_real_run(blowup_n4):
-    traj, _ = blowup_n4
-    trends = ratio_divergence(traj)
-    assert set(trends) == {1, 2, 3}
-    for trend in trends.values():
-        assert trend.increasing
-        assert trend.exceeds_threshold
+    traj, _, _ = blowup_n4
+    y, ratios = ratio_divergence(traj)
+    assert set(ratios) == {1, 2, 3}
+    # the window is the last decade of phi_1, and it ends on the last sample
+    phi1 = traj.states[:, 0]
+    assert y.tolist() == traj.abscissae[phi1 >= phi1[-1] / 10.0].tolist()
+    for r in ratios.values():
+        assert r.shape == y.shape
+        assert np.all(np.diff(r) > 0)
+        assert r[-1] > RATIO_THRESHOLD
 
 
 def test_ratio_divergence_constant_series():
     y = np.linspace(0.0, 1.0, 20)
     states = np.ones((20, 2))
-    traj = Trajectory("phi-y", y, states)
-    trends = ratio_divergence(traj)
-    assert not trends[1].increasing
-    assert not trends[1].exceeds_threshold
+    traj = Trajectory("y", y, states)
+    _, ratios = ratio_divergence(traj)
+    assert not np.all(np.diff(ratios[1]) > 0)
+    assert not ratios[1][-1] > RATIO_THRESHOLD
+
+
+def test_ratio_divergence_falls_back_to_every_sample():
+    """When phi_1 grows more than tenfold in the last step, the last decade
+    holds one sample, so every sample is used."""
+    y = np.array([0.0, 0.5, 0.9, 0.95])
+    phi1 = np.array([1.0, 2.0, 4.0, 100.0])
+    traj = Trajectory("y", y, np.column_stack([phi1, np.ones(4)]))
+    window, ratios = ratio_divergence(traj)
+    assert window.tolist() == y.tolist()
+    assert ratios[1].tolist() == phi1.tolist()
+    assert ratios[2].tolist() == [1.0] * 4
 
 
 def test_ratio_divergence_last_ratio_is_phi_itself():
-    traj, _ = integrate_phi_to_blowup(np.ones(2), cap=1e8)
-    trends = ratio_divergence(traj)
-    assert trends[2].final_value == traj.final_state[1]
+    traj, _, _ = integrate_phi_to_blowup(np.ones(2), cap=1e8)
+    _, ratios = ratio_divergence(traj)
+    assert ratios[2][-1] == traj.final_state[1]
 
+
+def test_diagnostics_check_the_chart():
+    """The phi-chart diagnostics take a run in y, the long-time one a run in t."""
+    phi_run = Trajectory("y", [0.0, 1.0, 2.0], np.ones((3, 2)), aux={"tau": [0.0, 1.0, 2.0]})
+    time_run = Trajectory("t", [2.0, 3.0, 4.0], np.ones((3, 2)))
+    for check in (ratio_divergence, psi_diagnostic, lambda traj: blowup_diagnostic(traj, 9.0)):
+        with pytest.raises(ValueError, match="expected a trajectory in y"):
+            check(time_run)
+    with pytest.raises(ValueError, match="expected a trajectory in t"):
+        longtime_diagnostic(phi_run)

@@ -5,6 +5,7 @@ import ast
 import json
 import shutil
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,14 +233,26 @@ def test_self_similar_residual_guard():
 
 def test_self_similar_small_alpha_single_cluster_limit():
     """As alpha -> 0 only c_1 survives and decays like a single cluster."""
-    report = self_similar_residual(_self_similar_run(40, 1e-4, 1.0, 10.0), 1e-4, 1.0)
-    assert report.max_rel_deviation < 1e-7
-    assert report.j_max == 13
+    assert self_similar_residual(_self_similar_run(40, 1e-4, 1.0, 10.0), 1e-4, 1.0) < 1e-7
 
 
 def test_self_similar_residual_at_zero_time():
-    report = self_similar_residual(_self_similar_run(30, 0.4, 2.0, 1e-6), 0.4, 2.0)
-    assert report.max_rel_deviation < 1e-10
+    assert self_similar_residual(_self_similar_run(30, 0.4, 2.0, 1e-6), 0.4, 2.0) < 1e-10
+
+
+def test_self_similar_residual_window():
+    """Only j <= max(1, N//3) is compared: corrupting component N//3 + 1
+    leaves the residual unchanged, corrupting component N//3 does not."""
+    traj = _self_similar_run(40, 0.5, 1.0, 10.0)
+    base = self_similar_residual(traj, 0.5, 1.0)
+
+    def corrupted(j):
+        states = traj.states.copy()
+        states[:, j - 1] *= 2.0
+        return replace(traj, states=states)
+
+    assert self_similar_residual(corrupted(14), 0.5, 1.0) == base
+    assert self_similar_residual(corrupted(13), 0.5, 1.0) > 0.9
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 runs with their omega error bars against the frozen oracle."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from rbklab import asymptotics, integrate
 from rbklab.core import phi_field, rbk_field
 from rbklab.harness import load_fixtures
 from rbklab.integrate import (
-    BlowupEstimate,
     IntegrationError,
     IntegratorSettings,
     Trajectory,
@@ -127,7 +127,7 @@ def test_first_step_is_the_textbook_step_and_its_continuous_extension_bitwise():
     are h (a_i @ k) exactly and no rounding of the stages is absorbed."""
     z0 = packed(np.array([0.0, 0.7, 0.0, 1.1, 0.4]))
     span = (0.0, math.log1p(100.0))
-    kwargs = dict(aux_names=DENSITY_AUX, chart="log-t")
+    kwargs = dict(aux_names=DENSITY_AUX)
     free = integrate_adaptive(log_density_rate, z0, span, **kwargs)
     h = free.abscissae[1]
 
@@ -265,7 +265,7 @@ def test_grid_samples_are_start_grid_points_and_end():
 
 
 def test_grid_samples_end_at_stop_point():
-    kwargs = dict(nonneg_guard=False, stop_when=lambda y, phi: phi[0] >= 1e6, chart="phi-y")
+    kwargs = dict(nonneg_guard=False, stop_when=lambda y, phi: phi[0] >= 1e6)
     free = integrate_adaptive(phi_rate, np.ones(3), (0.0, np.inf), **kwargs)
     grid = np.linspace(0.0, 2.0 * free.final_abscissa, 41)[1:]
     traj = integrate_adaptive(phi_rate, np.ones(3), (0.0, np.inf), grid=grid, **kwargs)
@@ -302,7 +302,7 @@ def test_grid_points_at_step_ends_are_the_steps_bitwise(midpoints):
     interpolated one: on a grid of a free run's step ends, with or without
     their midpoints, the samples at step ends equal the free run's bitwise."""
     span = (0.0, math.log1p(100.0))
-    kwargs = dict(aux_names=DENSITY_AUX, chart="log-t")
+    kwargs = dict(aux_names=DENSITY_AUX)
     free = integrate_adaptive(log_density_rate, packed(_DENSE_C0), span, **kwargs)
     grid = free.abscissae[1:]
     if midpoints:
@@ -426,7 +426,7 @@ def test_nan_step_size_fails_fast():
         return np.full(2, np.nan)
 
     with pytest.raises(IntegrationError,
-                       match=r"non-finite rate at the initial state at t=0 \(no step accepted\)"):
+                       match=r"non-finite rate at the initial state at s=0 \(no step accepted\)"):
         integrate_adaptive(field, [1.0, 1.0], (0.0, 1.0), IntegratorSettings(max_steps=1000))
     assert calls == [0.0]
 
@@ -499,23 +499,23 @@ def test_logtime_zero_lattice_preserved():
 
 
 def test_blowup_terminates_with_monotone_components(blowup_n4):
-    traj, estimate = blowup_n4
+    traj, omega, _ = blowup_n4
     assert traj.final_state[0] >= 1e10
     assert np.all(np.diff(traj.states, axis=0) > 0)
-    assert estimate.omega > traj.final_abscissa
+    assert omega > traj.final_abscissa
     assert np.isfinite(traj.aux["tau"][-1])
 
 
 def test_blowup_ratio_divergence_n3():
-    traj, _ = integrate_phi_to_blowup(np.ones(2), cap=1e10)
+    traj, _, _ = integrate_phi_to_blowup(np.ones(2), cap=1e10)
     assert traj.final_state[0] / traj.final_state[1] > 10.0
 
 
 def test_blowup_omega_matches_reference_fixture(oracle_fixtures):
     for n in (3, 4, 5, 8, 12, 16):
         fx = oracle_fixtures[f"omega/N{n}_ones"]
-        _, estimate = integrate_phi_to_blowup(np.ones(n - 1), cap=1e10)
-        rel = abs(estimate.omega / fx["oracle"]["omega"] - 1.0)
+        _, omega, _ = integrate_phi_to_blowup(np.ones(n - 1), cap=1e10)
+        rel = abs(omega / fx["oracle"]["omega"] - 1.0)
         assert rel < fx["tolerance"], f"N={n}: omega off by {rel:.2e}"
 
 
@@ -540,12 +540,12 @@ def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, key, cap, rtol):
     fx = oracle_fixtures[key]
     oracle = fx["oracle"]
     phi0 = np.array(fx["inputs"]["phi0"])
-    _, estimate = integrate_phi_to_blowup(phi0, cap, IntegratorSettings(rtol=rtol))
-    error = abs(estimate.omega - oracle["omega"])
-    assert error <= estimate.uncertainty + oracle["error_estimate"]
-    assert oracle["error_estimate"] <= 1e-2 * estimate.uncertainty
+    _, omega, uncertainty = integrate_phi_to_blowup(phi0, cap, IntegratorSettings(rtol=rtol))
+    error = abs(omega - oracle["omega"])
+    assert error <= uncertainty + oracle["error_estimate"]
+    assert oracle["error_estimate"] <= 1e-2 * uncertainty
     # the bar is rtol*omega plus a tail below eps*omega
-    assert estimate.uncertainty <= (rtol + 4 * np.finfo(float).eps) * estimate.omega
+    assert uncertainty <= (rtol + 4 * np.finfo(float).eps) * omega
 
 
 def test_blowup_trajectory_rows_stop_at_the_cap(monkeypatch):
@@ -561,7 +561,7 @@ def test_blowup_trajectory_rows_stop_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(integrate, "integrate_adaptive", spy)
     phi0 = np.array([0.7, 1.3, 2.1])
-    traj, _ = integrate_phi_to_blowup(phi0, cap=1e6)
+    traj, _, _ = integrate_phi_to_blowup(phi0, cap=1e6)
     phi1 = traj.states[:, 0]
     assert phi1[-1] >= 1e6 and np.all(phi1[:-1] < 1e6)
     assert traj.states[0].tobytes() == phi0.tobytes()
@@ -579,8 +579,8 @@ def test_blowup_fit_window_holds_eight_rows():
     the window of the blowup fits, so they never fall back to the whole run."""
     for n in range(3, 17):
         for c0 in (np.ones(n), np.random.default_rng(n).uniform(0.1, 1.0, n)):
-            traj, estimate = integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
-            lo, hi = asymptotics.blowup_diagnostic(traj, estimate.omega).window
+            traj, omega, _ = integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
+            lo, hi = asymptotics.blowup_diagnostic(traj, omega).window
             y = traj.abscissae
             assert lo > y[0] and hi == y[-1]
             assert ((y >= lo) & (y <= hi)).sum() >= 8, (n, c0)
@@ -612,6 +612,31 @@ def test_density_drivers_refuse_bad_c0_before_the_first_field_call(monkeypatch, 
     for driver in (integrate_rbk, integrate_logtime):
         with pytest.raises(ValueError, match="c0 must be"):
             driver(c0, 10.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_end, points_per_decade, match", [
+    (math.nan, 64, "t_end must be finite and positive, got nan"),
+    (math.inf, 64, "t_end must be finite and positive, got inf"),
+    (0.0, 64, "t_end must be finite and positive, got 0.0"),
+    (-1.0, 64, "t_end must be finite and positive, got -1.0"),
+    (10.0, -5, "points_per_decade must be a nonnegative integer, got -5"),
+    (10.0, 2.5, "points_per_decade must be a nonnegative integer, got 2.5"),
+    (10.0, True, "points_per_decade must be a nonnegative integer, got True"),
+], ids=["t_end-nan", "t_end-inf", "t_end-zero", "t_end-negative",
+        "points_per_decade-negative", "points_per_decade-fraction", "points_per_decade-bool"])
+def test_density_drivers_refuse_bad_span_before_building_a_grid(
+    monkeypatch, t_end, points_per_decade, match
+):
+    """A t_end that is not finite and positive, or a points_per_decade that
+    is not a nonnegative integer (a bool included), raises ValueError naming
+    it before the sample grid is built or the field called."""
+    calls = []
+    monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
+    monkeypatch.setattr(integrate, "sample_grid", lambda *a: calls.append(a))
+    for driver in (integrate_rbk, integrate_logtime):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            driver(np.ones(3), t_end, points_per_decade=points_per_decade)
     assert calls == []
 
 
@@ -648,13 +673,13 @@ _STATES = (
 
 
 def _only_run(monkeypatch, driver, *args):
-    """The (rate, z0, aux_names, chart) of the single integrate_adaptive call
-    the driver makes; the driver reaches it through the module attribute."""
+    """The (rate, z0, aux_names) of the single integrate_adaptive call the
+    driver makes; the driver reaches it through the module attribute."""
     calls = []
     real = integrate.integrate_adaptive
 
     def spy(rate, z0, span, *rest, **kwargs):
-        calls.append((rate, np.array(z0), kwargs["aux_names"], kwargs["chart"]))
+        calls.append((rate, np.array(z0), kwargs["aux_names"]))
         return real(rate, z0, span, *rest, **kwargs)
 
     monkeypatch.setattr(integrate, "integrate_adaptive", spy)
@@ -663,17 +688,15 @@ def _only_run(monkeypatch, driver, *args):
     return calls[0]
 
 
-@pytest.mark.parametrize("chart", ["t", "log-t", "phi-y"])
+@pytest.mark.parametrize("chart", ["t", "log-t", "phi"])
 def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, chart):
     for c0 in _STATES:
-        if chart == "phi-y":
+        if chart == "phi":
             if (c0 <= 0).any():
                 continue
             phi0 = c0[:-1] / c0[-1]
-            rate, z0, names, tag = _only_run(
-                monkeypatch, integrate_phi_to_blowup, phi0, 1e6
-            )
-            assert (names, tag) == (("y",), "phi-y")
+            rate, z0, names = _only_run(monkeypatch, integrate_phi_to_blowup, phi0, 1e6)
+            assert names == ("y",)
             w0 = np.log(phi0[:-1])
             assert z0.tobytes() == np.append(w0, 0.0).tobytes()
             for s, w in ((0.0, w0), (0.3, 2.0 * w0 + 1.0), (9.0, w0 + 20.0)):
@@ -682,12 +705,26 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
             continue
         # both time charts are one density run in s = log(1 + t)
         driver = integrate_rbk if chart == "t" else integrate_logtime
-        rate, z0, names, tag = _only_run(monkeypatch, driver, c0, 50.0)
-        assert (names, tag) == (DENSITY_AUX, "log-t")
+        rate, z0, names = _only_run(monkeypatch, driver, c0, 50.0)
+        assert names == DENSITY_AUX
         assert z0.tobytes() == packed(c0).tobytes()
         for x, c in ((0.0, c0), (1.5, 0.5 * c0), (12.0, c0 * 1e-4)):
             z = np.concatenate([c, [0.1, 0.2, 0.3]])
             assert rate(x, z).tobytes() == log_density_rate(x, z).tobytes()
+
+
+def test_each_run_is_named_by_its_abscissa(blowup_n4):
+    """Both time drivers report in t, the phi driver in y, and a generic run
+    in the s it integrated over."""
+    assert integrate_rbk(np.ones(3), 10.0).chart == "t"
+    assert integrate_logtime(np.ones(3), 10.0).chart == "t"
+    assert blowup_n4[0].chart == "y"
+    run = integrate_adaptive(log_density_rate, packed(np.ones(3)), (0.0, 1.0),
+                             aux_names=DENSITY_AUX)
+    assert run.chart == "s"
+    assert Trajectory.CHARTS == ("t", "s", "y")
+    with pytest.raises(ValueError, match="unknown chart 'x'"):
+        Trajectory("x", [0.0, 1.0], [[1.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +757,6 @@ def test_t_driver_matches_generic_path_bitwise(c0):
         (0.0, s_grid[-1]),
         grid=s_grid,
         aux_names=DENSITY_AUX,
-        chart="log-t",
     )
     assert ref.abscissae.tobytes() == s_grid.tobytes()
     ref = replace(ref, states=np.exp(-s_grid)[:, None] * ref.states)
@@ -740,7 +776,6 @@ def test_logtime_driver_matches_generic_path_bitwise(c0):
         (0.0, s_grid[-1]),
         grid=s_grid,
         aux_names=DENSITY_AUX,
-        chart="log-t",
     )
     s = ref.abscissae
     ref = replace(ref, states=np.exp(-s)[:, None] * ref.states)
@@ -753,7 +788,7 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     cap = 1e10
     phi0 = c0[:-1] / c0[-1]
     n = c0.size
-    traj, estimate = integrate_phi_to_blowup(phi0, cap)
+    traj, omega, uncertainty = integrate_phi_to_blowup(phi0, cap)
     tail_factor = math.factorial(n - 1) / (n - 2)
     eps = np.finfo(float).eps
     # 4 rows per decade of phi_1 ~ tau^(N-1)/(N-1)!, to just past the s where
@@ -772,7 +807,6 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
         stop_when=lambda s, z: (
             np.exp(z[0]) >= cap and tail_factor < eps * z[-1] * math.expm1(s) ** (n - 2)
         ),
-        chart="phi-y",
     )
     # back to the phi chart: rows up to the cap, the first one phi0 itself
     tau = np.expm1(run.abscissae)
@@ -780,12 +814,12 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     phi[0] = phi0
     rows = int(np.argmax(phi[:, 0] >= cap)) + 1
     y = run.aux["y"]
-    ref = Trajectory("phi-y", y[:rows], phi[:rows], aux={"tau": tau[:rows]})
+    ref = Trajectory("y", y[:rows], phi[:rows], aux={"tau": tau[:rows]})
     _assert_same_bits(traj, ref, y[:rows])
     assert traj.stats == run.stats
     tail = tail_factor * float(tau[-1]) ** (2 - n)
-    omega = float(y[-1]) + tail
-    assert estimate == BlowupEstimate(omega, RTOL * omega + tail)
+    expected = float(y[-1]) + tail
+    assert (omega, uncertainty) == (expected, RTOL * expected + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +849,6 @@ def test_phi_chart_consistency_with_mapped_trajectory():
         (0.0, y[-1]),
         grid=y[1:-1],
         nonneg_guard=False,
-        chart="phi-y",
     )
     idx = np.searchsorted(direct.abscissae, y[1:-1])
     assert np.all(direct.abscissae[idx] == y[1:-1])
@@ -838,6 +871,12 @@ def test_settings_validation():
         for name in ("rtol", "atol"):
             with pytest.raises(ValueError):
                 IntegratorSettings(**{name: bad})
+    # a bool is no tolerance and no step budget
+    for name, match in (("rtol", "rtol and atol"), ("atol", "rtol and atol"),
+                        ("max_steps", "max_steps")):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=match):
+                IntegratorSettings(**{name: flag})
 
 
 def test_trajectory_validation():
@@ -857,8 +896,3 @@ def test_trajectory_validation():
     traj = Trajectory("t", [0.0, 1.0], [[1.0], [0.5]], aux={"y": [0.0, 0.7]})
     assert traj.n_samples == 2 and traj.dim == 1
 
-
-def test_blowup_estimate_validation():
-    assert BlowupEstimate(1.0, 0.0) == BlowupEstimate(omega=1.0, uncertainty=0.0)
-    with pytest.raises(TypeError):  # the method tag is gone
-        BlowupEstimate(1.0, 0.0, "log-psi-tail")
