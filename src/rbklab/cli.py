@@ -24,7 +24,6 @@ import numpy as np
 
 from . import asymptotics, core, harness
 from .core import (
-    MAX_LAW_DIMENSION,
     blowup_laws,
     embed_reduced,
     longtime_laws,
@@ -39,6 +38,7 @@ from .integrate import (
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
+    phi_start,
     sample_grid,
 )
 
@@ -190,7 +190,18 @@ def resolve_run(raw: dict) -> dict:
     N = _integer("N", raw["N"])
     if N < 1:
         raise ConfigError(f"N must be a positive integer, got {N}")
-    try:
+    sampling = _known("sampling", _object("sampling", raw.get("sampling")), _SAMPLING_KEYS)
+    points_per_decade = _integer(
+        "sampling.points_per_decade", sampling.get("points_per_decade", 64)
+    )
+    if points_per_decade < 0:  # 0 samples every accepted step, in every chart
+        raise ConfigError(f"sampling.points_per_decade must be >= 0, got {points_per_decade}")
+    chart = raw.get("chart", "t")
+    if chart not in ("t", "log-t", "phi"):
+        raise ConfigError(f"unknown chart {chart!r}")
+    t_end = _finite("t_end", raw.get("t_end", 10.0))
+    cap = _finite("cap", raw.get("cap", 1e10))
+    try:  # sample_grid and phi_start hold the drivers' own rules
         c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
         if not np.isfinite(c0).all():  # a self_similar kappa near 0 overflows
             raise ConfigError("c0 has non-finite components")
@@ -201,37 +212,13 @@ def resolve_run(raw: dict) -> dict:
             atol=_finite("atol", raw.get("atol", 1e-12)),
             max_steps=_integer("max_steps", raw.get("max_steps", 1_000_000)),
         )
+        if chart != "phi":
+            grid = sample_grid(chart, t_end, points_per_decade)[1]
+        elif not c0[-1] > 0:  # phi0 divides by it
+            raise ConfigError(f"the phi chart needs c_N > 0, got c_N = {c0[-1]}")
+        phi0 = phi_start(c0[:-1] / c0[-1], cap) if chart == "phi" else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sampling = _known("sampling", _object("sampling", raw.get("sampling")), _SAMPLING_KEYS)
-    points_per_decade = _integer(
-        "sampling.points_per_decade", sampling.get("points_per_decade", 64)
-    )
-    if points_per_decade < 0:  # 0 samples every accepted step
-        raise ConfigError(f"sampling.points_per_decade must be >= 0, got {points_per_decade}")
-    chart = raw.get("chart", "t")
-    if chart not in ("t", "log-t", "phi"):
-        raise ConfigError(f"unknown chart {chart!r}")
-    t_end = _finite("t_end", raw.get("t_end", 10.0))
-    cap = _finite("cap", raw.get("cap", 1e10))
-    phi0 = None
-    if chart == "phi":
-        if not 3 <= N <= MAX_LAW_DIMENSION:
-            raise ConfigError(
-                f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={N}"
-            )
-        if (c0 <= 0).any():
-            raise ConfigError("the phi chart needs strictly positive initial densities")
-        phi0 = c0[:-1] / c0[-1]
-        if not cap > phi0[0]:
-            raise ConfigError(f"cap {cap} must exceed phi_1(0) = {phi0[0]}")
-    elif not t_end > 0:
-        raise ConfigError(f"t_end must be > 0, got {t_end}")
-    elif points_per_decade > 0 or chart == "log-t":  # the runs that build a sample grid
-        try:
-            grid = sample_grid(chart, t_end, points_per_decade)[1]
-        except (ValueError, OverflowError, MemoryError) as exc:
-            raise ConfigError(f"no sample grid to t_end={t_end}: {exc}") from exc
     verify_theorem = raw.get("verify_theorem", False)
     if not isinstance(verify_theorem, bool):
         raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
@@ -372,6 +359,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _blowup_run(run: dict):
+    """(traj, omega, uncertainty, psi_final, fits) of a resolved phi-chart
+    run: the worst |psi residual| at its last row and the window fits are
+    None on a run of fewer than 3 rows, too short to fit."""
+    traj, omega, uncertainty = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
+    if traj.n_samples < 3:
+        return traj, omega, uncertainty, None, None
+    _, psi = asymptotics.psi_diagnostic(traj)
+    psi_final = max(abs(rho[-1]) for rho in psi.values())
+    return traj, omega, uncertainty, psi_final, asymptotics.blowup_diagnostic(traj, omega)
+
+
 def cmd_blowup(args) -> int:
     raw = load_config(args.config)
     raw["chart"] = "phi"
@@ -379,7 +378,7 @@ def cmd_blowup(args) -> int:
         raw["cap"] = args.cap
     run = resolve_run(raw)
     N = run["c0"].size
-    traj, omega, uncertainty = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
+    traj, omega, uncertainty, psi_final, fits = _blowup_run(run)
     report = {
         "N": N,
         "cap": run["cap"],
@@ -391,20 +390,17 @@ def cmd_blowup(args) -> int:
         "theoretical_laws": _law_table(blowup_laws(N)),
         "integrator": dataclasses.asdict(traj.stats),
     }
-    if traj.n_samples >= 3:
-        _, psi = asymptotics.psi_diagnostic(traj)
-        worst = max(abs(rho[-1]) for rho in psi.values())
-        report["flags"]["laws_unconverged"] = bool(worst >= asymptotics.PSI_RESIDUAL_TOL)
-        fit_report = asymptotics.blowup_diagnostic(traj, omega)
+    if fits is not None:
+        report["flags"]["laws_unconverged"] = bool(psi_final >= asymptotics.PSI_RESIDUAL_TOL)
         report["fitted_laws"] = {
             str(j): {
                 "exponent": f.exponent,
                 "prefactor": f.prefactor,
                 "residual": f.residual,
             }
-            for j, f in sorted(fit_report.fitted.items())
+            for j, f in sorted(fits.fitted.items())
         }
-        report["fit_window_y"] = list(fit_report.window)
+        report["fit_window_y"] = list(fits.window)
     # diagnosed before anything is written: a failing diagnostic leaves no file
     write_trajectory_csv(traj, args.out)
     write_json(report, Path(args.out).with_suffix(".report.json"))
@@ -489,31 +485,24 @@ def _omega_fixture(phi0):
 
 
 def _asymptotics_checks(run: dict) -> list:
-    traj, omega, uncertainty = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
-    rep = asymptotics.blowup_diagnostic(traj, omega)
-    laws = blowup_laws(run["c0"].size)
-    exp_err = max(
-        abs(rep.fitted[j].exponent / laws[j].exponent - 1.0)
-        for j in rep.fitted
-    )
-    pre_err = max(
-        abs(rep.fitted[j].prefactor / laws[j].prefactor - 1.0)
-        for j in rep.fitted
-    )
-    _, psi = asymptotics.psi_diagnostic(traj)
-    psi_final = max(abs(rho[-1]) for rho in psi.values())
-    _, ratios = asymptotics.ratio_divergence(traj)
-    ratios_ok = all(
-        np.all(np.diff(r) > 0) and r[-1] > asymptotics.RATIO_THRESHOLD for r in ratios.values()
-    )
-    checks = [
-        ("blowup exponents within 5%", exp_err < 0.05, f"max rel err {exp_err:.3e}"),
-        ("blowup prefactors within 20%", pre_err < 0.20, f"max rel err {pre_err:.3e}"),
-        (f"psi polynomial residuals < {asymptotics.PSI_RESIDUAL_TOL}",
-         psi_final < asymptotics.PSI_RESIDUAL_TOL, f"max |rho^| {psi_final:.3e}"),
-        ("ratio divergence", ratios_ok,
-         f"final phi_1/phi_2 = {ratios[1][-1]:.3e}"),
-    ]
+    traj, omega, uncertainty, psi_final, rep = _blowup_run(run)
+    tol = asymptotics.PSI_RESIDUAL_TOL
+    names = ("blowup exponents within 5%", "blowup prefactors within 20%",
+             f"psi polynomial residuals < {tol}", "ratio divergence")
+    if rep is None:  # too short a run to fit: each law row fails
+        oks, measured = (False,) * 4, (f"{traj.n_samples} rows up to the cap, need 3",) * 4
+    else:
+        laws = blowup_laws(run["c0"].size)
+        exp_err = max(abs(rep.fitted[j].exponent / laws[j].exponent - 1.0) for j in rep.fitted)
+        pre_err = max(abs(rep.fitted[j].prefactor / laws[j].prefactor - 1.0) for j in rep.fitted)
+        _, ratios = asymptotics.ratio_divergence(traj)
+        ratios_ok = all(
+            np.all(np.diff(r) > 0) and r[-1] > asymptotics.RATIO_THRESHOLD for r in ratios.values()
+        )
+        oks = (exp_err < 0.05, pre_err < 0.20, psi_final < tol, ratios_ok)
+        measured = (f"max rel err {exp_err:.3e}", f"max rel err {pre_err:.3e}",
+                    f"max |rho^| {psi_final:.3e}", f"final phi_1/phi_2 = {ratios[1][-1]:.3e}")
+    checks = list(zip(names, oks, measured))
     # without a fixture of this phi0 there is nothing to hold omega's error
     # bar against, so neither omega row is printed
     reference = _omega_fixture(run["phi0"])

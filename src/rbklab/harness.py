@@ -168,8 +168,9 @@ def identity_suite(traj) -> dict:
         The derivative is taken in the density runs' own abscissa
         s = log(1 + t), by np.gradient's second-order differences on the
         nonuniform grid, as d(nu)/ds / (1 + t).  A row whose right-hand side
-        underflows to 0 while nu > 0 cannot be checked in double precision:
-        its error reads inf, so the identity does not hold.
+        underflows to 0 while nu > 0, or whose difference is not finite (the
+        products of tiny spacings underflow), cannot be checked in double
+        precision: its error reads inf, so the identity does not hold.
 
     Returns {name: {"max_rel_err", "tol", "ok"}} for the three identities and
     "passed", true when all three hold.  The closed forms (a) and (b) are held
@@ -188,9 +189,10 @@ def identity_suite(traj) -> dict:
     nu = c.sum(axis=1)
     rhs = -(nu[1:-1] ** 2 + (c[1:-1] ** 2).sum(axis=1)) / 2.0
     # np.gradient needs two samples; a single one has no interior row
-    fd = np.gradient(nu, np.log1p(t))[1:-1] / (1.0 + t[1:-1]) if t.size > 1 else rhs
-    err_c = _rel_err(fd, rhs)
-    err_c[(rhs == 0.0) & (nu[1:-1] > 0.0)] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fd = np.gradient(nu, np.log1p(t))[1:-1] / (1.0 + t[1:-1]) if t.size > 1 else rhs
+        err_c = _rel_err(fd, rhs)
+    err_c[((rhs == 0.0) & (nu[1:-1] > 0.0)) | ~np.isfinite(err_c)] = np.inf
 
     tol_closed = 100.0 * traj.settings.rtol
     report = {

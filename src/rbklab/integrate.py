@@ -23,18 +23,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core
-from .core import checked_factorial, rbk_field
+from .core import MAX_LAW_DIMENSION, checked_factorial, rbk_field
 
 __all__ = [
     "IntegrationError",
     "IntegrationStats",
     "IntegratorSettings",
     "Trajectory",
-    "geometric_grid",
     "integrate_adaptive",
     "integrate_logtime",
     "integrate_phi_to_blowup",
     "integrate_rbk",
+    "phi_start",
     "sample_grid",
 ]
 
@@ -162,17 +162,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
-    """Log-uniform grid over [lo, hi] with the given per-decade density."""
-    if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi")
-    if points_per_decade < 1:
-        raise ValueError("points_per_decade must be >= 1")
-    decades = math.log10(hi / lo)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.geomspace(lo, hi, n)
-
-
 # the t chart samples the trailing six decades of [0, t_end]
 _T_GRID_DECADES = 6.0
 
@@ -184,14 +173,30 @@ def sample_grid(chart: str, t_end: float, points_per_decade: int):
     at t = e^s - 1.  The t grid is geometric in t over the trailing six
     decades (only t_end when points_per_decade is 0), taken at s = log1p(t)
     and reported at its own t, so the run lands on every grid point and ends
-    on t_end."""
-    if chart == "log-t":
-        s = np.log(geometric_grid(1.0, 1.0 + t_end, max(points_per_decade, 1)))
+    on t_end.  t_end must be finite and positive and points_per_decade a
+    nonnegative integer, checked before any array is built; a grid that
+    cannot be built is refused naming t_end."""
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not _is_count(points_per_decade) or points_per_decade < 0:
+        raise ValueError(
+            f"points_per_decade must be a nonnegative integer, got {points_per_decade!r}"
+        )
+    log_t = chart == "log-t"
+    grid = [t_end]
+    if log_t or points_per_decade > 0:
+        lo, hi = (1.0, 1.0 + t_end) if log_t else (t_end * 10.0 ** (-_T_GRID_DECADES), t_end)
+        try:
+            if not 0 < lo < hi:
+                raise ValueError("1 + t_end rounds to 1" if log_t else "its start underflows to 0")
+            n = max(2, int(round(math.log10(hi / lo) * max(points_per_decade, 1))) + 1)
+            grid = np.geomspace(lo, hi, n)
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise ValueError(f"no sample grid to t_end={t_end}: {exc}") from exc
+    if log_t:
+        s = np.log(grid)
         return s, np.expm1(s)
-    t = [t_end]
-    if points_per_decade > 0:
-        t = geometric_grid(t_end * 10.0 ** (-_T_GRID_DECADES), t_end, points_per_decade)
-    t = np.concatenate(([0.0], t))
+    t = np.concatenate(([0.0], grid))
     return np.log1p(t), t
 
 
@@ -515,6 +520,8 @@ def integrate_adaptive(
     if not _all_finite(k[0]):
         raise IntegrationError(f"non-finite rate at the initial state at {_where(s, None)}")
     h = _initial_step(rate, s, z, k[0], s_end - s0, scale_of)
+    # near s = 0 the step floor is relative to the span, when shorter than 1e-30
+    floor = min(1e-30, s_end - s0)
     n_evals = 2  # k[0] and the probe of _initial_step
 
     # accepted vectors are fresh arrays never written again, so no copies
@@ -532,8 +539,8 @@ def integrate_adaptive(
                 f"max_steps={settings.max_steps} exhausted at {_where(s, h_last)}: "
                 "settings too tight for the requested span"
             )
-        h_min = _H_FLOOR * max(abs(s), 1e-30)
-        if not h >= h_min:  # also catches a NaN step
+        h_min = _H_FLOOR * max(abs(s), floor)
+        if not h >= h_min or h == 0.0:  # also a NaN step, or h = 0 where h_min underflows
             raise IntegrationError(f"step size underflow at {_where(s, h_last)}")
 
         # clip onto the span end
@@ -671,19 +678,12 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
     The run is sampled on the grid and reported at the grid's t or, when
     points_per_decade is 0, at every accepted step, reported at t = e^s - 1
     and the last at the grid's end.  States are reported as c = e^-s u in
-    chart "t", and a failure names s.  c0 must be finite and nonnegative,
-    t_end finite and positive, and points_per_decade a nonnegative integer;
-    each is refused by name before the grid is built.
+    chart "t", and a failure names s.  c0 must be finite and nonnegative;
+    sample_grid checks t_end and points_per_decade.
     """
     c0 = np.asarray(c0, dtype=float)
     if c0.ndim != 1 or c0.size < 1 or not (np.isfinite(c0) & (c0 >= 0)).all():
         raise ValueError("c0 must be a nonempty 1-D vector of finite nonnegative numbers")
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
-    if not _is_count(points_per_decade) or points_per_decade < 0:
-        raise ValueError(
-            f"points_per_decade must be a nonnegative integer, got {points_per_decade!r}"
-        )
     s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     run = integrate_adaptive(
         _density_rate(c0.size),
@@ -728,6 +728,23 @@ def integrate_logtime(
 _PHI_ROWS_PER_DECADE = 4
 
 
+def phi_start(phi0, cap: float) -> np.ndarray:
+    """phi0 as a float vector, once the phi chart accepts it: N = len(phi0) + 1
+    in 3..MAX_LAW_DIMENSION, phi0 finite and positive, cap finite and above phi_1(0)."""
+    phi0 = np.asarray(phi0, dtype=float)
+    if not 3 <= (n := phi0.size + 1) <= MAX_LAW_DIMENSION or phi0.ndim != 1:
+        raise ValueError(
+            f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={n}"
+        )
+    if not np.isfinite(phi0).all():
+        raise ValueError("phi0 must have finite entries")
+    if np.any(phi0 <= 0):
+        raise ValueError("the phi chart needs strictly positive initial densities")
+    if not (math.isfinite(cap) and cap > phi0[0]):
+        raise ValueError(f"cap {cap} must exceed phi_1(0) = {phi0[0]} and be finite")
+    return phi0
+
+
 def integrate_phi_to_blowup(
     phi0,
     cap: float = 1e10,
@@ -761,15 +778,7 @@ def integrate_phi_to_blowup(
     and y must increase strictly, so a run whose y reaches omega to double
     precision before phi_1 reaches the cap fails.
     """
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.ndim != 1 or phi0.size < 2:
-        raise ValueError("phi0 must be a vector of length N-1 >= 2")
-    if not np.isfinite(phi0).all():
-        raise ValueError("phi0 must have finite entries")
-    if np.any(phi0 <= 0):
-        raise ValueError("phi chart requires strictly positive initial data")
-    if not (math.isfinite(cap) and cap > phi0[0]):
-        raise ValueError(f"cap {cap} must be finite and exceed phi_1(0) = {phi0[0]}")
+    phi0 = phi_start(phi0, cap)
     if settings is None:
         settings = IntegratorSettings()
 

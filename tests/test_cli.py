@@ -340,7 +340,7 @@ def test_negative_points_per_decade_exits_3_in_every_chart(tmp_path, capsys, cha
 def test_non_positive_t_end_exits_3_in_both_t_charts(tmp_path, capsys, chart, t_end):
     cfg = write_config(tmp_path, N=3, t_end=t_end, chart=chart)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-    assert f"t_end must be > 0, got {float(t_end)}" in capsys.readouterr().err
+    assert f"t_end must be finite and positive, got {float(t_end)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
@@ -647,6 +647,34 @@ def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, m
 
 
 @pytest.mark.parametrize(
+    "call, command, doc",
+    [
+        (lambda: integrate_rbk(np.ones(3), 0.0), ["simulate"], {"N": 3, "t_end": 0}),
+        (lambda: integrate_rbk(np.ones(3), -1.0), ["simulate"], {"N": 3, "t_end": -1}),
+        (lambda: integrate_logtime(np.ones(3), 1e-17), ["simulate", "--chart", "log-t"],
+         {"N": 3, "t_end": 1e-17}),
+        (lambda: integrate_rbk(np.ones(3), 5e-324), ["simulate"], {"N": 3, "t_end": 5e-324}),
+        (lambda: integrate_phi_to_blowup(np.ones(1)), ["blowup"], {"N": 2}),
+        (lambda: integrate_phi_to_blowup(np.ones(20)), ["blowup"], {"N": 21}),
+        (lambda: integrate_phi_to_blowup([1.0, 0.0]), ["blowup"], {"N": 3, "c0": [1, 0, 1]}),
+        (lambda: integrate_phi_to_blowup(np.ones(2), 0.5), ["blowup"], {"N": 3, "cap": 0.5}),
+    ],
+    ids=["t_end-zero", "t_end-negative", "log-t-no-grid", "t-no-grid", "phi-N2", "phi-N21",
+         "phi-zero-entry", "phi-low-cap"],
+)
+def test_each_input_rule_has_one_owner(tmp_path, capsys, call, command, doc):
+    """The library driver and the command refuse the same input with the
+    same message: the command exits 3, writes nothing, and prints the
+    driver's ValueError."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    cfg = write_config(tmp_path, **doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert str(refused.value) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
     "command",
     [["simulate", "--chart", "phi", "--out", "x.csv"], ["blowup", "--out", "x.csv"],
      ["verify", "asymptotics"]],
@@ -694,6 +722,27 @@ def test_verify_identities_past_the_underflow_of_nu_squared_exits_2(tmp_path, ca
     assert "FAIL density dissipation identity: max rel err inf" in out
 
 
+@pytest.mark.parametrize("t_end", [1e-200, 1e-300, 1e-310])
+def test_verify_identities_on_tiny_spacings_fails_without_a_warning(tmp_path, capsys, t_end):
+    """Spans this short run (one step each), and their grid spacings are so
+    small that the dissipation differences divide by zero: that row reads inf
+    and fails (exit 2), with no numpy warning (exit 1 under -W error)."""
+    cfg = write_config(tmp_path, N=3, t_end=t_end)
+    assert main(["verify", "identities", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "PASS nu_odd closed form" in out
+    assert "FAIL density dissipation identity: max rel err inf" in out
+
+
+def test_simulate_a_span_below_the_step_floor_exits_0(tmp_path):
+    """t_end = 1e-310 is a valid span: its run ends on t_end."""
+    cfg = write_config(tmp_path, N=3, t_end=1e-310)
+    out = tmp_path / "tiny.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, data = read_trajectory_csv(out)
+    assert (data[0, 0], data[-1, 0]) == (0.0, 1e-310)
+
+
 def test_verify_support_passes(capsys):
     assert main(["verify", "support"]) == 0
     out = capsys.readouterr().out
@@ -703,6 +752,24 @@ def test_verify_support_passes(capsys):
 def test_verify_asymptotics_passes(capsys):
     assert main(["verify", "asymptotics"]) == 0
     assert "blowup exponents" in capsys.readouterr().out
+
+
+def test_verify_asymptotics_on_a_run_too_short_to_fit(tmp_path, capsys):
+    """At N = 4 with cap 1.5 the run has 2 rows up to the cap: blowup reports
+    no fits, and verify asymptotics fails each law row by its row count while
+    both omega rows still print and pass."""
+    cfg = write_config(tmp_path, N=4, cap=1.5)
+    assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    report = json.loads((tmp_path / "b.report.json").read_text())
+    assert report["fitted_laws"] is None and report["flags"]["laws_unconverged"]
+    capsys.readouterr()
+    assert main(["verify", "asymptotics", "--config", cfg]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("FAIL ") and line.endswith(": 2 rows up to the cap, need 3")
+               for line in lines[:4])
+    assert lines[4].startswith("PASS omega uncertainty: omega = 0.758286377")
+    assert lines[5].startswith("PASS omega matches reference fixture")
 
 
 def test_verify_asymptotics_unreadable_fixture_file_exits_3(tmp_path, capsys, monkeypatch):
@@ -961,8 +1028,9 @@ def test_sweep_nested_unknown_key_exits_3_before_running(tmp_path, capsys):
         ({"c0": [1.0, 1.0, 1.0], "t_end": 2.0}, {"N": [3, 4]}, "cell001: c0 has length 3"),
         ({"chart": "phi"}, {"N": [3, 2]}, "cell001: the phi chart and its blowup laws need N"),
         ({"chart": "phi", "N": 3}, {"cap": [1e4, 0.5]}, "cell001: cap 0.5 must exceed phi_1(0)"),
-        ({"chart": "t", "N": 3}, {"t_end": [2.0, -1]}, "cell001: t_end must be > 0"),
-        ({"chart": "log-t", "N": 3}, {"t_end": [0]}, "cell000: t_end must be > 0"),
+        ({"chart": "t", "N": 3}, {"t_end": [2.0, -1]},
+         "cell001: t_end must be finite and positive"),
+        ({"chart": "log-t", "N": 3}, {"t_end": [0]}, "cell000: t_end must be finite and positive"),
     ],
     ids=["c0-length", "phi-N", "phi-cap", "t-t_end", "log-t-t_end"],
 )

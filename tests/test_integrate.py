@@ -10,17 +10,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rbklab import asymptotics, integrate
-from rbklab.core import phi_field, rbk_field
+from rbklab.core import nu_odd_closed, phi_field, rbk_field
 from rbklab.harness import load_fixtures
 from rbklab.integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    geometric_grid,
     integrate_adaptive,
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
+    sample_grid,
 )
 
 RTOL = IntegratorSettings().rtol
@@ -213,7 +213,7 @@ def test_cn_integrating_factor_identity():
 
 
 def test_grid_points_hit_exactly():
-    grid = geometric_grid(0.1, 10.0, 8)
+    grid = np.geomspace(0.1, 10.0, 17)  # 8 per decade
     traj = integrate_adaptive(
         density_rate, packed(np.ones(3)), (0.0, 10.0), grid=grid, aux_names=DENSITY_AUX
     )
@@ -254,14 +254,14 @@ def test_step_sequence_independent_of_grid(points_per_decade):
 
 
 def test_grid_samples_are_start_grid_points_and_end():
-    grid = geometric_grid(100.0 * 10.0 ** -6.0, 100.0, 320)
+    grid = sample_grid("t", 100.0, 320)[1]
     traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=320)
-    assert traj.abscissae.tolist() == [0.0, *grid.tolist()]
+    assert traj.abscissae.tolist() == grid.tolist()
     assert traj.stats.accepted < grid.size
     # a coarser grid over the same six decades also ends on the span end
     traj = integrate_rbk(_DENSE_C0, 100.0, points_per_decade=16)
     assert traj.abscissae.tolist()[-1] == 100.0
-    assert np.all(np.isin(geometric_grid(100.0 * 10.0 ** -6.0, 100.0, 16), traj.abscissae))
+    assert np.all(np.isin(sample_grid("t", 100.0, 16)[1], traj.abscissae))
 
 
 def test_grid_samples_end_at_stop_point():
@@ -278,7 +278,7 @@ def test_interpolated_samples_match_landed_steps():
     """The continuous extension agrees, to the integrator's own tolerance,
     with runs whose span ends on the same grid points (a step is clipped
     onto the span end)."""
-    grid = geometric_grid(1e-4, 100.0, 64)
+    grid = np.geomspace(1e-4, 100.0, 385)  # 64 per decade
     dense = integrate_adaptive(
         density_rate, packed(_DENSE_C0), (0.0, 100.0), grid=grid, aux_names=DENSITY_AUX
     )
@@ -488,8 +488,7 @@ def test_logtime_zero_lattice_preserved():
     traj = integrate_logtime([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 1e4)
     assert np.all(traj.states[:, 0::2] == 0.0)
     # the samples are s = 0 and the s-grid, uniform in s = log(1 + t)
-    s_grid = np.log(geometric_grid(1.0, 1.0 + 1e4, 64))
-    assert traj.abscissae.tobytes() == np.expm1(s_grid).tobytes()
+    assert traj.abscissae.tobytes() == sample_grid("log-t", 1e4, 64)[1].tobytes()
     assert traj.stats.accepted < traj.n_samples - 1
 
 
@@ -630,13 +629,65 @@ def test_density_drivers_refuse_bad_span_before_building_a_grid(
 ):
     """A t_end that is not finite and positive, or a points_per_decade that
     is not a nonnegative integer (a bool included), raises ValueError naming
-    it before the sample grid is built or the field called."""
+    it before any grid array is built or the field called."""
     calls = []
     monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
-    monkeypatch.setattr(integrate, "sample_grid", lambda *a: calls.append(a))
+    for name in ("geomspace", "concatenate"):  # the builders of every grid array
+        monkeypatch.setattr(np, name, lambda *a, **k: calls.append(a))
     for driver in (integrate_rbk, integrate_logtime):
         with pytest.raises(ValueError, match=re.escape(match)):
             driver(np.ones(3), t_end, points_per_decade=points_per_decade)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_end", [1e-45, 1e-100, 1e-200, 1e-310])
+def test_t_chart_spans_below_the_step_floor_run_in_one_step(t_end):
+    """A span shorter than the step floor relative to 1e-30 still runs: the
+    floor is taken relative to the span, and nu_odd meets its closed form."""
+    traj = integrate_rbk(np.ones(3), t_end)
+    assert traj.stats.accepted == 1
+    assert traj.final_abscissa == t_end
+    nu_odd = traj.states[:, 0::2].sum(axis=1)
+    assert np.array_equal(nu_odd, nu_odd_closed(nu_odd[0], traj.abscissae))
+
+
+def test_a_step_that_underflows_to_zero_fails_at_once():
+    """At t_end = 5e-324 the first trial step, a tenth of the span, rounds to
+    0 while the floor relative to the span underflows too: the run fails as a
+    step underflow, not by spending its budget on steps of size 0."""
+    with pytest.raises(IntegrationError, match=re.escape("step size underflow at s=0")):
+        integrate_rbk(np.ones(3), 5e-324, points_per_decade=0)
+
+
+@pytest.mark.parametrize("chart, t_end, why", [
+    ("log-t", 1e-17, "1 + t_end rounds to 1"),
+    ("t", 5e-324, "its start underflows to 0"),
+    ("t", 1e-320, "its start underflows to 0"),
+])
+def test_sample_grid_names_t_end_when_no_grid_exists(chart, t_end, why):
+    with pytest.raises(ValueError, match=re.escape(f"no sample grid to t_end={t_end}: {why}")):
+        sample_grid(chart, t_end, 64)
+
+
+def test_sample_grid_too_large_to_allocate_names_t_end():
+    with pytest.raises(ValueError, match=re.escape("no sample grid to t_end=1.0: ")):
+        sample_grid("t", 1.0, 10**13)
+
+
+@pytest.mark.parametrize("phi0, cap, match", [
+    (np.ones(1), 1e10, "need N in 3..20, got N=2"),
+    (np.ones(20), 1e10, "need N in 3..20, got N=21"),
+    (np.ones((2, 2)), 1e10, "need N in 3..20"),
+    (np.ones(2), 0.5, "cap 0.5 must exceed phi_1(0) = 1.0"),
+    (np.ones(2), math.inf, "cap inf must exceed phi_1(0) = 1.0 and be finite"),
+])
+def test_phi_start_refuses_before_the_first_field_call(monkeypatch, phi0, cap, match):
+    """The phi chart's rule: N in 3..MAX_LAW_DIMENSION (a phi0 of length 20
+    ran before and then failed in its fits), and a finite cap above phi_1(0)."""
+    calls = []
+    monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        integrate_phi_to_blowup(phi0, cap)
     assert calls == []
 
 
@@ -749,8 +800,7 @@ def test_t_driver_matches_generic_path_bitwise(c0):
     reported at that grid's own t."""
     t_end = 50.0
     traj = integrate_rbk(c0, t_end)
-    t_grid = np.concatenate([[0.0], geometric_grid(t_end * 10.0 ** (-6.0), t_end, 64)])
-    s_grid = np.log1p(t_grid)
+    s_grid, t_grid = sample_grid("t", t_end, 64)
     ref = integrate_adaptive(
         log_density_rate,
         packed(c0),
@@ -769,7 +819,7 @@ def test_t_driver_matches_generic_path_bitwise(c0):
 def test_logtime_driver_matches_generic_path_bitwise(c0):
     t_end = 1e5
     traj = integrate_logtime(c0, t_end)
-    s_grid = np.log(geometric_grid(1.0, 1.0 + t_end, 64))
+    s_grid = sample_grid("log-t", t_end, 64)[0]
     ref = integrate_adaptive(
         log_density_rate,
         packed(c0),
