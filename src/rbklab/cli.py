@@ -35,6 +35,7 @@ from .integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
+    density_start,
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
@@ -100,7 +101,7 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
     if family == "self_similar":
         alpha = _finite("c0.self_similar.alpha", params.get("alpha", 0.5))
         kappa = _finite("c0.self_similar.kappa", params.get("kappa", 1.0))
-        with np.errstate(over="ignore"):  # resolve_run refuses the inf a tiny kappa gives
+        with np.errstate(over="ignore"):  # the chart's start refuses the inf a tiny kappa gives
             return self_similar(alpha, kappa, 0.0, N)
     # random: seed-fixed uniform positive densities
     if seed is None:
@@ -201,51 +202,44 @@ def resolve_run(raw: dict) -> dict:
         raise ConfigError(f"unknown chart {chart!r}")
     t_end = _finite("t_end", raw.get("t_end", 10.0))
     cap = _finite("cap", raw.get("cap", 1e10))
-    try:  # sample_grid and phi_start hold the drivers' own rules
-        c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
-        if not np.isfinite(c0).all():  # a self_similar kappa near 0 overflows
-            raise ConfigError("c0 has non-finite components")
-        if (c0 < 0).any():
-            raise ConfigError("initial densities must be nonnegative")
+    verify_theorem = raw.get("verify_theorem", False)
+    if not isinstance(verify_theorem, bool):
+        raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
+    if verify_theorem and chart == "phi":
+        raise ConfigError("long-time law verification needs the t or log-t chart")
+    # the drivers' own rules in their order: a library caller builds the
+    # settings first, then the driver calls phi_start, or density_start and sample_grid
+    try:
         settings = IntegratorSettings(
             rtol=_finite("rtol", raw.get("rtol", 1e-9)),
             atol=_finite("atol", raw.get("atol", 1e-12)),
             max_steps=_integer("max_steps", raw.get("max_steps", 1_000_000)),
         )
-        if chart != "phi":
-            grid = sample_grid(chart, t_end, points_per_decade)[1]
-        elif not c0[-1] > 0:  # phi0 divides by it
-            raise ConfigError(f"the phi chart needs c_N > 0, got c_N = {c0[-1]}")
-        phi0 = phi_start(c0[:-1] / c0[-1], cap) if chart == "phi" else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    verify_theorem = raw.get("verify_theorem", False)
-    if not isinstance(verify_theorem, bool):
-        raise ConfigError(f"verify_theorem must be true or false, got {verify_theorem!r}")
-    if verify_theorem:
+        c0 = _build_c0(raw.get("c0", {"uniform": {}}), N, raw.get("seed"))
         if chart == "phi":
-            raise ConfigError("long-time law verification needs the t or log-t chart")
-        try:
+            phi_start(c0, cap)
+        else:
+            density_start(c0)
+            grid = sample_grid(chart, t_end, points_per_decade)[1]
+        if verify_theorem:
             profile = support_profile(c0)
             longtime_laws(profile.n_eff, profile.m)  # a support with no long-time law
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the long-time residuals are taken on the sample grid, at least two
-        # of its samples beyond t = 1
-        if points_per_decade == 0:
-            raise ConfigError("verify_theorem needs sampling.points_per_decade > 0")
-        beyond = int((grid > 1.0).sum())
-        if beyond < 2:
-            raise ConfigError(
-                f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
-            )
+            # the long-time residuals are taken on the sample grid, at least
+            # two of its samples beyond t = 1
+            if points_per_decade == 0:
+                raise ConfigError("verify_theorem needs sampling.points_per_decade > 0")
+            if (beyond := int((grid > 1.0).sum())) < 2:
+                raise ConfigError(
+                    f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
+                )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return {
         "c0": c0,
         "settings": settings,
         "chart": chart,
         "t_end": t_end,
         "cap": cap,
-        "phi0": phi0,
         "points_per_decade": points_per_decade,
         "verify_theorem": verify_theorem,
     }
@@ -301,14 +295,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     _write_atomic(path, write)
 
 
-def read_trajectory_csv(path):
-    """Inverse of write_trajectory_csv: (header, data array)."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    return header, data
-
-
 def write_json(doc: dict, path) -> None:
     def dump(fh):
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -331,7 +317,7 @@ def _law_table(laws) -> dict:
 
 def _simulate_trajectory(run: dict) -> Trajectory:
     if run["chart"] == "phi":
-        return integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])[0]
+        return integrate_phi_to_blowup(run["c0"], run["cap"], run["settings"])[0]
     driver = integrate_rbk if run["chart"] == "t" else integrate_logtime
     return driver(run["c0"], run["t_end"], run["settings"],
                   points_per_decade=run["points_per_decade"])
@@ -363,7 +349,7 @@ def _blowup_run(run: dict):
     """(traj, omega, uncertainty, psi_final, fits) of a resolved phi-chart
     run: the worst |psi residual| at its last row and the window fits are
     None on a run of fewer than 3 rows, too short to fit."""
-    traj, omega, uncertainty = integrate_phi_to_blowup(run["phi0"], run["cap"], run["settings"])
+    traj, omega, uncertainty = integrate_phi_to_blowup(run["c0"], run["cap"], run["settings"])
     if traj.n_samples < 3:
         return traj, omega, uncertainty, None, None
     _, psi = asymptotics.psi_diagnostic(traj)
@@ -503,9 +489,9 @@ def _asymptotics_checks(run: dict) -> list:
         measured = (f"max rel err {exp_err:.3e}", f"max rel err {pre_err:.3e}",
                     f"max |rho^| {psi_final:.3e}", f"final phi_1/phi_2 = {ratios[1][-1]:.3e}")
     checks = list(zip(names, oks, measured))
-    # without a fixture of this phi0 there is nothing to hold omega's error
-    # bar against, so neither omega row is printed
-    reference = _omega_fixture(run["phi0"])
+    # without a fixture of this phi0 (the run's first row) there is nothing
+    # to hold omega's error bar against, so neither omega row is printed
+    reference = _omega_fixture(traj.states[0])
     if reference is not None:
         expected, bar, tol = reference
         # the bar must cover the error, up to the oracle's own error

@@ -30,6 +30,7 @@ __all__ = [
     "IntegrationStats",
     "IntegratorSettings",
     "Trajectory",
+    "density_start",
     "integrate_adaptive",
     "integrate_logtime",
     "integrate_phi_to_blowup",
@@ -419,7 +420,8 @@ def _initial_step(rhs, t0, z0, f0, t_span, scale_of):
     d0 = np.sqrt(np.mean((z0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 0.1 * t_span)
+    # a tenth of a span below 5e-323 rounds to 0: such a span is tried whole
+    h0 = min(h0, 0.1 * t_span) or t_span
     z1 = z0 + h0 * f0
     try:
         f1 = rhs(t0 + h0, z1)
@@ -669,6 +671,14 @@ def integrate_adaptive(
 # ---------------------------------------------------------------------------
 
 
+def density_start(c0) -> np.ndarray:
+    """c0 as a float vector, once the time charts accept it: 1-D, nonempty, finite, >= 0."""
+    c0 = core._as_vector(c0, "c0")
+    if (c0 < 0).any():
+        raise ValueError("initial densities must be nonnegative")
+    return c0
+
+
 def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajectory:
     """Both time charts are this one run of u = (1 + t) c in s = log(1 + t),
     where du/ds = u + field(u), from s = 0 to the end of the chart's sample
@@ -678,12 +688,10 @@ def _density_run(chart: str, c0, t_end, settings, points_per_decade) -> Trajecto
     The run is sampled on the grid and reported at the grid's t or, when
     points_per_decade is 0, at every accepted step, reported at t = e^s - 1
     and the last at the grid's end.  States are reported as c = e^-s u in
-    chart "t", and a failure names s.  c0 must be finite and nonnegative;
-    sample_grid checks t_end and points_per_decade.
+    chart "t", and a failure names s.  density_start checks c0, and
+    sample_grid t_end and points_per_decade.
     """
-    c0 = np.asarray(c0, dtype=float)
-    if c0.ndim != 1 or c0.size < 1 or not (np.isfinite(c0) & (c0 >= 0)).all():
-        raise ValueError("c0 must be a nonempty 1-D vector of finite nonnegative numbers")
+    c0 = density_start(c0)
     s_grid, t_grid = sample_grid(chart, t_end, points_per_decade)
     run = integrate_adaptive(
         _density_rate(c0.size),
@@ -728,16 +736,21 @@ def integrate_logtime(
 _PHI_ROWS_PER_DECADE = 4
 
 
-def phi_start(phi0, cap: float) -> np.ndarray:
-    """phi0 as a float vector, once the phi chart accepts it: N = len(phi0) + 1
-    in 3..MAX_LAW_DIMENSION, phi0 finite and positive, cap finite and above phi_1(0)."""
-    phi0 = np.asarray(phi0, dtype=float)
-    if not 3 <= (n := phi0.size + 1) <= MAX_LAW_DIMENSION or phi0.ndim != 1:
+def phi_start(c0, cap: float) -> np.ndarray:
+    """phi0 = c0[:-1]/c_N, once the phi chart accepts c0 and cap: N = len(c0) in
+    3..MAX_LAW_DIMENSION, c_N finite and positive, phi0 finite (the ratio may
+    overflow) and strictly positive, and cap finite and above phi_1(0)."""
+    c0 = np.asarray(c0, dtype=float)
+    if not 3 <= c0.size <= MAX_LAW_DIMENSION or c0.ndim != 1:
         raise ValueError(
-            f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={n}"
+            f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={c0.size}"
         )
+    if not 0 < c0[-1] < math.inf:
+        raise ValueError(f"the phi chart needs a finite c_N > 0, got c_N = {c0[-1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi0 = c0[:-1] / c0[-1]
     if not np.isfinite(phi0).all():
-        raise ValueError("phi0 must have finite entries")
+        raise ValueError("phi0 must have finite entries (phi0 = c0[:-1]/c_N)")
     if np.any(phi0 <= 0):
         raise ValueError("the phi chart needs strictly positive initial densities")
     if not (math.isfinite(cap) and cap > phi0[0]):
@@ -746,11 +759,11 @@ def phi_start(phi0, cap: float) -> np.ndarray:
 
 
 def integrate_phi_to_blowup(
-    phi0,
+    c0,
     cap: float = 1e10,
     settings: IntegratorSettings | None = None,
 ) -> tuple[Trajectory, float, float]:
-    """Run the phi chart past phi_1 = cap and find its blowup point omega.
+    """Run the phi chart of c0 past phi_1 = cap and find its blowup point omega.
 
     The run is made in the twice-rescaled chart psi_j(tau) = phi_j(y(tau)),
     tau = int phi_1 dy, over s = log(1 + tau).  Its states are w_j = log psi_j
@@ -773,14 +786,13 @@ def integrate_phi_to_blowup(
 
     Returns (traj, omega, uncertainty).  The trajectory is reported in chart
     "y", up to the first sample with phi_1 >= cap: abscissae y, states phi
-    (its first row phi0 itself) and the tau accumulator.  It carries the run's IntegrationStats, and a failure
-    names s.  Across those rows the integrated log psi_j must not decrease
-    and y must increase strictly, so a run whose y reaches omega to double
-    precision before phi_1 reaches the cap fails.
+    (its first row phi0 = phi_start(c0, cap)) and the tau accumulator.  It
+    carries the run's IntegrationStats, and a failure names s.  Across those
+    rows the integrated log psi_j must not decrease and y must increase
+    strictly, so a run whose y reaches omega to double precision before
+    phi_1 reaches the cap fails.
     """
-    phi0 = phi_start(phi0, cap)
-    if settings is None:
-        settings = IntegratorSettings()
+    phi0 = phi_start(c0, cap)
 
     n = phi0.size + 1
     dim = n - 2
@@ -847,10 +859,10 @@ def integrate_phi_to_blowup(
         abscissae=y[:rows],
         states=phi[:rows],
         aux={"tau": tau[:rows]},
-        settings=settings,
+        settings=run.settings,
         stats=run.stats,
     )
 
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     omega = float(y[-1]) + tail
-    return traj, omega, settings.rtol * omega + tail
+    return traj, omega, run.settings.rtol * omega + tail

@@ -16,7 +16,7 @@ def oracle_fixtures():
 @pytest.fixture(scope="session")
 def blowup_n4():
     """Standard blowup fixture: N=4, phi0=(1,1,1), cap=1e10."""
-    return integrate_phi_to_blowup(np.ones(3), cap=1e10)
+    return integrate_phi_to_blowup(np.ones(4), cap=1e10)
 
 
 @pytest.fixture(scope="session")

@@ -137,7 +137,7 @@ def test_criterion_6_omega_consistency(oracle_fixtures):
     for n in (3, 4, 5):
         oracle = oracle_fixtures[f"omega/N{n}_ones"]["oracle"]
         for cap in (1e8, 1e10):
-            _, omega, uncertainty = integrate_phi_to_blowup(np.ones(n - 1), cap=cap)
+            _, omega, uncertainty = integrate_phi_to_blowup(np.ones(n), cap=cap)
             error = abs(omega - oracle["omega"])
             bar = uncertainty + oracle["error_estimate"]
             ok &= error <= bar

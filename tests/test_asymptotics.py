@@ -125,7 +125,7 @@ def _workload_runs():
     rng = np.random.default_rng(5)
     for n in range(3, 17):
         for c0 in (np.ones(n), rng.uniform(0.1, 1.0, n)):
-            yield n, integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
+            yield n, integrate_phi_to_blowup(c0, 1e10)
 
 
 def test_blowup_fits_agree_with_polyfit():
@@ -345,7 +345,7 @@ def test_ratio_divergence_falls_back_to_every_sample():
 
 
 def test_ratio_divergence_last_ratio_is_phi_itself():
-    traj, _, _ = integrate_phi_to_blowup(np.ones(2), cap=1e8)
+    traj, _, _ = integrate_phi_to_blowup(np.ones(3), cap=1e8)
     _, ratios = ratio_divergence(traj)
     assert ratios[2][-1] == traj.final_state[1]
 

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from rbklab import integrate as integrate_module
 from rbklab.cli import (
     ConfigError,
     main,
-    read_trajectory_csv,
     resolve_run,
     write_json,
     write_trajectory_csv,
@@ -39,6 +39,13 @@ def write_config(tmp_path, name="config.json", **doc):
     return str(path)
 
 
+def read_csv(path):
+    """(header, data) of a CSV the commands wrote."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -48,7 +55,7 @@ def test_simulate_monodisperse_csv(tmp_path):
     cfg = write_config(tmp_path, N=3, c0={"monodisperse": {}}, t_end=9.0)
     out = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    header, data = read_trajectory_csv(out)
+    header, data = read_csv(out)
     assert header[:4] == ["t", "c_1", "c_2", "c_3"]
     assert data[-1, 3] == pytest.approx(1.0 / 10.0, rel=1e-8)
 
@@ -60,7 +67,7 @@ def test_simulate_csv_round_trip_lossless(tmp_path):
     from rbklab.cli import load_config, resolve_run, _simulate_trajectory
 
     traj = _simulate_trajectory(resolve_run(load_config(cfg)))
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     assert np.all(data[:, 0] == traj.abscissae)
     assert np.all(data[:, 1 : 1 + traj.dim] == traj.states)
 
@@ -124,7 +131,7 @@ def test_simulate_logtime_chart_flag(tmp_path):
     cfg = write_config(tmp_path, N=3, c0={"uniform": {}}, t_end=100.0)
     out = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--chart", "log-t"]) == 0
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     assert data[-1, 0] == pytest.approx(100.0)
 
 
@@ -231,6 +238,15 @@ def test_resolve_run_rejects_non_finite_numbers(doc):
 def test_resolve_run_rejects_values_of_the_wrong_type(doc):
     with pytest.raises(ConfigError):
         resolve_run({"N": 3, **doc})
+
+
+def test_resolve_run_leaves_the_phi_start_to_the_driver():
+    """A phi-chart run resolves to the same c0 as a density run and carries
+    no phi0: the driver forms it from c0 (phi_start)."""
+    doc = {"N": 4, "c0": [2.0, 1.0, 3.0, 0.5]}
+    run = resolve_run({**doc, "chart": "phi"})
+    assert "phi0" not in run
+    assert run["c0"].tobytes() == resolve_run(doc)["c0"].tobytes()
 
 
 def test_resolve_run_accepts_integral_floats():
@@ -349,7 +365,7 @@ def test_logtime_zero_points_per_decade_samples_every_step(tmp_path):
                        sampling={"points_per_decade": 0})
     out = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     traj = integrate_logtime(np.ones(3), 1e4)
     assert data.shape[0] == traj.stats.accepted + 1
     assert data[-1, 0] == traj.final_abscissa
@@ -361,7 +377,7 @@ def test_t_chart_reaches_the_top_of_the_double_range_on_a_small_budget(tmp_path)
     cfg = write_config(tmp_path, N=3, t_end=1e308, max_steps=5000)
     out = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     assert data[0, :4].tolist() == [0.0, 1.0, 1.0, 1.0]
     assert data[-1, 0] == 1e308
 
@@ -397,7 +413,7 @@ def test_csv_bytes_match_a_per_value_reference(tmp_path, chart):
     header = [chart, *(f"{name}_{j}" for j in range(1, dim + 1)), "tau", "zeta"]
     table = np.column_stack([x, states, aux["tau"], aux["zeta"]])
     assert out.read_bytes() == _reference_csv(header, table)
-    got_header, data = read_trajectory_csv(out)
+    got_header, data = read_csv(out)
     assert got_header == header
     assert data.tobytes() == table.tobytes()
 
@@ -436,7 +452,7 @@ def test_blowup_report(tmp_path):
     cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=1e8)
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
-    header, data = read_trajectory_csv(out)
+    header, data = read_csv(out)
     assert header[:2] == ["y", "phi_1"]
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert not report["flags"]["laws_unconverged"]
@@ -456,7 +472,7 @@ def test_blowup_report_holds_the_integrator_stats(tmp_path):
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     first = out.with_suffix(".report.json").read_bytes()
-    stats = integrate_phi_to_blowup(np.ones(4), 1e10)[0].stats
+    stats = integrate_phi_to_blowup(np.ones(5), 1e10)[0].stats
     got = json.loads(first)["integrator"]
     assert (got["accepted"], got["rhs_evals"]) == (stats.accepted, stats.rhs_evals)
     assert got == dataclasses.asdict(stats)
@@ -481,7 +497,7 @@ def test_blowup_cap_crossed_in_one_step_reports_no_fits(tmp_path):
     cfg = write_config(tmp_path, N=4, c0={"uniform": {}}, cap=1.0000001)
     out = tmp_path / "blowup.csv"
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     assert data.shape[0] == 2
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert report["flags"] == {"laws_unconverged": True}
@@ -513,8 +529,7 @@ def test_blowup_rejects_a_stage_that_underflows_psi_1_without_a_warning(tmp_path
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".report.json").read_text())
     assert abs(report["omega"] - fx["oracle"]["omega"]) <= report["uncertainty"]
-    phi0 = np.array(c0[:-1])  # c_N = 1
-    assert integrate_phi_to_blowup(phi0, 1e10)[0].stats.rejected_nonfinite == 1
+    assert integrate_phi_to_blowup(c0, 1e10)[0].stats.rejected_nonfinite == 1
 
 
 # valid steep c0 at N = 10 whose first steps move some phi_j by less than an
@@ -646,6 +661,13 @@ def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, m
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
+def _tiny_kappa_c0():
+    """The c0 of {"self_similar": {"kappa": 1e-320}} at N = 3: its entries
+    overflow to inf."""
+    with np.errstate(over="ignore"):
+        return core.self_similar(0.5, 1e-320, 0.0, 3)
+
+
 @pytest.mark.parametrize(
     "call, command, doc",
     [
@@ -654,13 +676,22 @@ def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, m
         (lambda: integrate_logtime(np.ones(3), 1e-17), ["simulate", "--chart", "log-t"],
          {"N": 3, "t_end": 1e-17}),
         (lambda: integrate_rbk(np.ones(3), 5e-324), ["simulate"], {"N": 3, "t_end": 5e-324}),
-        (lambda: integrate_phi_to_blowup(np.ones(1)), ["blowup"], {"N": 2}),
-        (lambda: integrate_phi_to_blowup(np.ones(20)), ["blowup"], {"N": 21}),
-        (lambda: integrate_phi_to_blowup([1.0, 0.0]), ["blowup"], {"N": 3, "c0": [1, 0, 1]}),
-        (lambda: integrate_phi_to_blowup(np.ones(2), 0.5), ["blowup"], {"N": 3, "cap": 0.5}),
+        (lambda: integrate_phi_to_blowup(np.ones(2)), ["blowup"], {"N": 2}),
+        (lambda: integrate_phi_to_blowup(np.ones(21)), ["blowup"], {"N": 21}),
+        (lambda: integrate_phi_to_blowup([1.0, 0.0, 1.0]), ["blowup"], {"N": 3, "c0": [1, 0, 1]}),
+        (lambda: integrate_phi_to_blowup(np.ones(3), 0.5), ["blowup"], {"N": 3, "cap": 0.5}),
+        (lambda: integrate_rbk([1.0, -1.0, 1.0], 10.0), ["simulate"], {"N": 3, "c0": [1, -1, 1]}),
+        (lambda: integrate_logtime([1.0, -1.0, 1.0], 10.0), ["simulate", "--chart", "log-t"],
+         {"N": 3, "c0": [1, -1, 1]}),
+        (lambda: integrate_rbk(_tiny_kappa_c0(), 10.0), ["simulate"],
+         {"N": 3, "c0": {"self_similar": {"kappa": 1e-320}}}),
+        (lambda: integrate_phi_to_blowup([1.0, 1.0, 0.0]), ["blowup"], {"N": 3, "c0": [1, 1, 0]}),
+        (lambda: integrate_phi_to_blowup([1.0, 1.0, 1e-320]), ["blowup"],
+         {"N": 3, "c0": [1, 1, 1e-320]}),
     ],
     ids=["t_end-zero", "t_end-negative", "log-t-no-grid", "t-no-grid", "phi-N2", "phi-N21",
-         "phi-zero-entry", "phi-low-cap"],
+         "phi-zero-entry", "phi-low-cap", "t-negative-entry", "log-t-negative-entry",
+         "t-non-finite-entry", "phi-c_N-zero", "phi-ratio-overflow"],
 )
 def test_each_input_rule_has_one_owner(tmp_path, capsys, call, command, doc):
     """The library driver and the command refuse the same input with the
@@ -671,6 +702,19 @@ def test_each_input_rule_has_one_owner(tmp_path, capsys, call, command, doc):
     cfg = write_config(tmp_path, **doc)
     assert main([*command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
     assert str(refused.value) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_blowup_refuses_an_overflowing_phi0_without_a_warning(tmp_path, capsys):
+    """phi0 = c0[:-1]/c_N overflows on this c0: the command refuses it by name
+    (exit 3) and numpy warns of nothing, so it exits 3 under -W error too."""
+    cfg = write_config(tmp_path, N=3, c0=[1, 1, 1e-320])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["blowup", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "invalid config: phi0 must have finite entries (phi0 = c0[:-1]/c_N)\n"
+    )
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
@@ -739,7 +783,7 @@ def test_simulate_a_span_below_the_step_floor_exits_0(tmp_path):
     cfg = write_config(tmp_path, N=3, t_end=1e-310)
     out = tmp_path / "tiny.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    _, data = read_trajectory_csv(out)
+    _, data = read_csv(out)
     assert (data[0, 0], data[-1, 0]) == (0.0, 1e-310)
 
 

@@ -20,6 +20,7 @@ from rbklab.integrate import (
     integrate_logtime,
     integrate_phi_to_blowup,
     integrate_rbk,
+    phi_start,
     sample_grid,
 )
 
@@ -406,7 +407,7 @@ def test_max_steps_exhaustion():
     with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
         integrate_logtime(np.ones(3), 1e6, tight)
     with pytest.raises(IntegrationError, match=r"exhausted at s=\S+ \(last accepted h="):
-        integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=tight)
+        integrate_phi_to_blowup(np.ones(4), cap=1e10, settings=tight)
 
 
 def test_span_validation():
@@ -506,14 +507,14 @@ def test_blowup_terminates_with_monotone_components(blowup_n4):
 
 
 def test_blowup_ratio_divergence_n3():
-    traj, _, _ = integrate_phi_to_blowup(np.ones(2), cap=1e10)
+    traj, _, _ = integrate_phi_to_blowup(np.ones(3), cap=1e10)
     assert traj.final_state[0] / traj.final_state[1] > 10.0
 
 
 def test_blowup_omega_matches_reference_fixture(oracle_fixtures):
     for n in (3, 4, 5, 8, 12, 16):
         fx = oracle_fixtures[f"omega/N{n}_ones"]
-        _, omega, _ = integrate_phi_to_blowup(np.ones(n - 1), cap=1e10)
+        _, omega, _ = integrate_phi_to_blowup(np.ones(n), cap=1e10)
         rel = abs(omega / fx["oracle"]["omega"] - 1.0)
         assert rel < fx["tolerance"], f"N={n}: omega off by {rel:.2e}"
 
@@ -538,8 +539,8 @@ def test_blowup_error_bar_covers_the_oracle(oracle_fixtures, key, cap, rtol):
     that estimate is at most 1e-2 of the bar, so a wide oracle cannot pass."""
     fx = oracle_fixtures[key]
     oracle = fx["oracle"]
-    phi0 = np.array(fx["inputs"]["phi0"])
-    _, omega, uncertainty = integrate_phi_to_blowup(phi0, cap, IntegratorSettings(rtol=rtol))
+    c0 = np.append(fx["inputs"]["phi0"], 1.0)
+    _, omega, uncertainty = integrate_phi_to_blowup(c0, cap, IntegratorSettings(rtol=rtol))
     error = abs(omega - oracle["omega"])
     assert error <= uncertainty + oracle["error_estimate"]
     assert oracle["error_estimate"] <= 1e-2 * uncertainty
@@ -560,7 +561,7 @@ def test_blowup_trajectory_rows_stop_at_the_cap(monkeypatch):
 
     monkeypatch.setattr(integrate, "integrate_adaptive", spy)
     phi0 = np.array([0.7, 1.3, 2.1])
-    traj, _, _ = integrate_phi_to_blowup(phi0, cap=1e6)
+    traj, _, _ = integrate_phi_to_blowup(np.append(phi0, 1.0), cap=1e6)
     phi1 = traj.states[:, 0]
     assert phi1[-1] >= 1e6 and np.all(phi1[:-1] < 1e6)
     assert traj.states[0].tobytes() == phi0.tobytes()
@@ -578,7 +579,7 @@ def test_blowup_fit_window_holds_eight_rows():
     the window of the blowup fits, so they never fall back to the whole run."""
     for n in range(3, 17):
         for c0 in (np.ones(n), np.random.default_rng(n).uniform(0.1, 1.0, n)):
-            traj, omega, _ = integrate_phi_to_blowup(c0[:-1] / c0[-1], 1e10)
+            traj, omega, _ = integrate_phi_to_blowup(c0, 1e10)
             lo, hi = asymptotics.blowup_diagnostic(traj, omega).window
             y = traj.abscissae
             assert lo > y[0] and hi == y[-1]
@@ -587,10 +588,10 @@ def test_blowup_fit_window_holds_eight_rows():
 
 def test_blowup_rejects_bad_initial_data():
     with pytest.raises(ValueError):
-        integrate_phi_to_blowup([1.0, -1.0])
+        integrate_phi_to_blowup([1.0, -1.0, 1.0])
     for cap in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            integrate_phi_to_blowup([1.0, 1.0], cap=cap)
+            integrate_phi_to_blowup([1.0, 1.0, 1.0], cap=cap)
 
 
 @pytest.mark.parametrize("c0", [
@@ -609,7 +610,8 @@ def test_density_drivers_refuse_bad_c0_before_the_first_field_call(monkeypatch, 
     calls = []
     monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
     for driver in (integrate_rbk, integrate_logtime):
-        with pytest.raises(ValueError, match="c0 must be"):
+        with pytest.raises(ValueError, match="c0 must be a nonempty 1-D vector|c0 has non-finite "
+                           "components|initial densities must be nonnegative"):
             driver(c0, 10.0)
     assert calls == []
 
@@ -651,12 +653,16 @@ def test_t_chart_spans_below_the_step_floor_run_in_one_step(t_end):
     assert np.array_equal(nu_odd, nu_odd_closed(nu_odd[0], traj.abscissae))
 
 
-def test_a_step_that_underflows_to_zero_fails_at_once():
-    """At t_end = 5e-324 the first trial step, a tenth of the span, rounds to
-    0 while the floor relative to the span underflows too: the run fails as a
-    step underflow, not by spending its budget on steps of size 0."""
-    with pytest.raises(IntegrationError, match=re.escape("step size underflow at s=0")):
-        integrate_rbk(np.ones(3), 5e-324, points_per_decade=0)
+def test_a_span_whose_tenth_rounds_to_zero_runs_in_one_step():
+    """From t_end = 5e-324 to 5e-323 a tenth of the span rounds to 0 or to
+    the smallest subnormal: the first trial step is then the span itself, so
+    the run ends on t_end in one step and nu_odd meets its closed form."""
+    for t_end in (5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 5e-323):
+        traj = integrate_rbk(np.ones(3), t_end, points_per_decade=0)
+        assert traj.stats.accepted == 1
+        assert traj.final_abscissa == t_end
+        nu_odd = traj.states[:, 0::2].sum(axis=1)
+        assert np.array_equal(nu_odd, nu_odd_closed(nu_odd[0], traj.abscissae))
 
 
 @pytest.mark.parametrize("chart, t_end, why", [
@@ -682,13 +688,40 @@ def test_sample_grid_too_large_to_allocate_names_t_end():
     (np.ones(2), math.inf, "cap inf must exceed phi_1(0) = 1.0 and be finite"),
 ])
 def test_phi_start_refuses_before_the_first_field_call(monkeypatch, phi0, cap, match):
-    """The phi chart's rule: N in 3..MAX_LAW_DIMENSION (a phi0 of length 20
-    ran before and then failed in its fits), and a finite cap above phi_1(0)."""
+    """The phi chart's rule: N = len(c0) in 3..MAX_LAW_DIMENSION, here with
+    c0 = (phi0, 1), and a finite cap above phi_1(0)."""
     calls = []
     monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
+    c0 = np.append(phi0, 1.0) if phi0.ndim == 1 else phi0
     with pytest.raises(ValueError, match=re.escape(match)):
-        integrate_phi_to_blowup(phi0, cap)
+        integrate_phi_to_blowup(c0, cap)
     assert calls == []
+
+
+@pytest.mark.parametrize("c0, match", [
+    ([1.0, 1.0, 0.0], "the phi chart needs a finite c_N > 0, got c_N = 0.0"),
+    ([1.0, 1.0, -2.0], "the phi chart needs a finite c_N > 0, got c_N = -2.0"),
+    ([1.0, 1.0, math.inf], "the phi chart needs a finite c_N > 0, got c_N = inf"),
+    ([1.0, 1.0, math.nan], "the phi chart needs a finite c_N > 0, got c_N = nan"),
+    ([1.0, 1.0, 1e-320], "phi0 must have finite entries (phi0 = c0[:-1]/c_N)"),
+    ([1e300, 1.0, 1e-300], "phi0 must have finite entries (phi0 = c0[:-1]/c_N)"),
+    ([1.0, -1.0, 1.0], "the phi chart needs strictly positive initial densities"),
+])
+def test_phi_start_names_the_c0_it_refuses(c0, match):
+    """phi_start forms phi0 = c0[:-1]/c_N itself: a c_N that is not finite and
+    positive is refused before the division, and a ratio that overflows by
+    name, with no numpy warning (the suite turns warnings into errors)."""
+    with pytest.raises(ValueError, match=re.escape(match)):
+        phi_start(c0, 1e10)
+
+
+def test_phi_start_returns_the_ratio_bitwise():
+    """phi0 is c0[:-1]/c_N bitwise, so a phi0 extended by c_N = 1 comes back
+    as itself."""
+    c0 = np.random.default_rng(7).uniform(0.1, 1.0, 6)
+    assert phi_start(c0, 1e10).tobytes() == (c0[:-1] / c0[-1]).tobytes()
+    phi0 = c0[:-1]
+    assert phi_start(np.append(phi0, 1.0), 1e10).tobytes() == phi0.tobytes()
 
 
 @pytest.mark.parametrize("phi0, match", [
@@ -702,13 +735,13 @@ def test_blowup_refuses_bad_phi0_before_the_first_field_call(monkeypatch, phi0, 
     calls = []
     monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
     with pytest.raises(ValueError, match=match):
-        integrate_phi_to_blowup(phi0)
+        integrate_phi_to_blowup(np.append(phi0, 1.0))
     assert calls == []
 
 
 def test_blowup_cap_unreachable_with_tight_budget():
     with pytest.raises(IntegrationError, match="cap not reached.* at s="):
-        integrate_phi_to_blowup(np.ones(3), cap=1e10, settings=IntegratorSettings(max_steps=20))
+        integrate_phi_to_blowup(np.ones(4), cap=1e10, settings=IntegratorSettings(max_steps=20))
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +779,7 @@ def test_driver_packed_rate_is_field_plus_accumulators_bitwise(monkeypatch, char
             if (c0 <= 0).any():
                 continue
             phi0 = c0[:-1] / c0[-1]
-            rate, z0, names = _only_run(monkeypatch, integrate_phi_to_blowup, phi0, 1e6)
+            rate, z0, names = _only_run(monkeypatch, integrate_phi_to_blowup, c0, 1e6)
             assert names == ("y",)
             w0 = np.log(phi0[:-1])
             assert z0.tobytes() == np.append(w0, 0.0).tobytes()
@@ -838,7 +871,7 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     cap = 1e10
     phi0 = c0[:-1] / c0[-1]
     n = c0.size
-    traj, omega, uncertainty = integrate_phi_to_blowup(phi0, cap)
+    traj, omega, uncertainty = integrate_phi_to_blowup(c0, cap)
     tail_factor = math.factorial(n - 1) / (n - 2)
     eps = np.finfo(float).eps
     # 4 rows per decade of phi_1 ~ tau^(N-1)/(N-1)!, to just past the s where
