@@ -526,9 +526,11 @@ def integrate_adaptive(
     floor = min(1e-30, s_end - s0)
     n_evals = 2  # k[0] and the probe of _initial_step
 
-    # accepted vectors are fresh arrays never written again, so no copies
+    # the samples in pieces, joined once at the end: ss holds floats, zs rows
+    # and whole dense-output blocks; accepted vectors are fresh arrays never
+    # written again, so no copies
     ss = [s]
-    zs = [z]
+    zs = [z[None]]
     grid_idx = 0
     n_attempts = n_accepted = n_clamped = 0
     n_rej_error = n_rej_guard = n_rej_nonfinite = 0
@@ -613,8 +615,8 @@ def integrate_adaptive(
             if nonneg_guard:
                 x = block[:, :dim]
                 x[x < 0.0] = 0.0
-            ss.extend(grid[grid_idx:j])
-            zs.extend(block)
+            ss.extend(grid[grid_idx:j].tolist())
+            zs.append(block)
         on_grid = grid is not None and j < grid.size and grid[j] == s_new
         grid_idx = j + 1 if on_grid else j
 
@@ -636,7 +638,7 @@ def integrate_adaptive(
             stopped = True
         if grid is None or on_grid or stopped or s >= s_end:
             ss.append(s)
-            zs.append(z)
+            zs.append(z[None])
         if stopped:
             break
 
@@ -644,7 +646,7 @@ def integrate_adaptive(
         # an exact zero error from dividing by zero
         h = h_step * min(_MAX_FACTOR, _SAFETY * max(err, 1e-10) ** -_EXPONENT)
 
-    zs_arr = np.asarray(zs)
+    zs_arr = np.concatenate(zs)
     aux = {name: zs_arr[:, dim + i] for i, name in enumerate(aux_names)}
     stats = IntegrationStats(
         accepted=n_accepted,
@@ -737,11 +739,14 @@ _PHI_ROWS_PER_DECADE = 4
 
 
 def phi_start(c0, cap: float) -> np.ndarray:
-    """phi0 = c0[:-1]/c_N, once the phi chart accepts c0 and cap: N = len(c0) in
+    """phi0 = c0[:-1]/c_N, once the phi chart accepts c0 and cap: c0 a 1-D
+    vector (refused by its shape as density_start refuses it), N = len(c0) in
     3..MAX_LAW_DIMENSION, c_N finite and positive, phi0 finite (the ratio may
     overflow) and strictly positive, and cap finite and above phi_1(0)."""
     c0 = np.asarray(c0, dtype=float)
-    if not 3 <= c0.size <= MAX_LAW_DIMENSION or c0.ndim != 1:
+    if c0.ndim != 1 or c0.size < 1:
+        core._as_vector(c0, "c0")  # raises the shape error
+    if not 3 <= c0.size <= MAX_LAW_DIMENSION:
         raise ValueError(
             f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={c0.size}"
         )

@@ -399,7 +399,8 @@ def test_csv_bytes_match_a_per_value_reference(tmp_path, chart):
     near 1e+-300, the writer's bytes are format(x, ".17g") per value, and the
     reader gives the table back bitwise."""
     rng = np.random.default_rng(11)
-    n, dim = 2 * cli._CSV_BLOCK_ROWS + 37, 4
+    dim = 4
+    n = 2 * (cli._CSV_BLOCK_VALUES // (dim + 3)) + 37  # the x, c and aux columns
     states = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 301, (n, dim))
     states.flat[: 3 * len(_SPECIAL) : 3] = _SPECIAL
     x = np.concatenate(([0.0, 5e-324, 1e-300], np.cumsum(rng.uniform(0.5, 1.5, n - 3))))
@@ -416,6 +417,110 @@ def test_csv_bytes_match_a_per_value_reference(tmp_path, chart):
     got_header, data = read_csv(out)
     assert got_header == header
     assert data.tobytes() == table.tobytes()
+
+
+def _hard_values(rng) -> np.ndarray:
+    """Values that probe every branch of '%.17g': random 64-bit patterns over
+    all exponents (subnormals and nan among them), 10^k and both neighbours
+    for k in -300..300, integers, short decimals, exact ties at the 17th
+    digit, 0, -0, +-inf and nan."""
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    decimals = np.concatenate([np.round(rng.uniform(-1e3, 1e3, 500), d) for d in range(7)])
+    # x = 1 + r/2^52 scales to x 10^16 = (2^52 + r) 5^16 / 2^36, whose fraction
+    # is 1/2 - j 2^-36 for r = (2^35 - j) / 5^16 mod 2^36: an exact tie at
+    # j = 0, fractions within 1e-9 of 1/2 and fractions just outside
+    inverse = pow(5**16, -1, 2**36)
+    near_ties = [1 + (2**35 - j) * inverse % 2**36 / 2**52
+                 for j in (0, 1, -1, 50, -50, 1000, -1000, 6000, -6000)]
+    return np.concatenate([
+        bits, powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf), -powers,
+        rng.integers(-10**6, 10**6, 2000).astype(float), rng.integers(0, 2**53, 2000).astype(float),
+        decimals, near_ties, [1234567890123456.75, 9999999999999999.5, 0.5, 99999999999999999.0],
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308, 1e-200, 1e200],
+        np.nextafter([1e-200, 1e200], [0.0, math.inf]),
+    ])
+
+
+def _per_value_reference(table) -> str:
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+
+
+def _write_table(tmp_path, table) -> bytes:
+    """The bytes write_trajectory_csv gives table's columns, as states."""
+    traj = Trajectory("t", np.arange(len(table), dtype=float), table)
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(traj, out)
+    return out.read_bytes()
+
+
+def _spy_per_value(monkeypatch) -> list:
+    """The values the writer formats one at a time, as it formats them."""
+    calls = []
+    per_value = cli._per_value
+    monkeypatch.setattr(cli, "_per_value", lambda x: calls.append(x) or per_value(x))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_vector_formatting_matches_format_per_value(seed):
+    """A seeded property: every block's text is format(x, '.17g') per value."""
+    rng = np.random.default_rng(seed)
+    values = _hard_values(rng)
+    values = rng.permutation(np.append(values, np.zeros(-values.size % 8)))
+    table = values.reshape(-1, 8)
+    seps = np.array([ord(",")] * 7 + [ord("\n")], cli._WORD)
+    for start in range(0, len(table), 300):
+        block = table[start : start + 300]
+        assert cli._format_block(block, seps) == _per_value_reference(block)
+
+
+_BLOCK_OF_8 = cli._CSV_BLOCK_VALUES // 8  # rows in a block of 8 columns
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (0, 3), (1, 1), (1, 30), (7, 24), (2, 1), (_BLOCK_OF_8, 7), (2 * _BLOCK_OF_8 + 1, 7),
+])
+def test_csv_tables_of_any_shape(tmp_path, rows, cols):
+    """Header-only, one-row and wide tables, and tables of exactly one block
+    and one row past two (8 columns); the widest value field
+    (-1.2345678901234567e-308) in every other column."""
+    table = np.full((rows, cols), -1.2345678901234567e-308)
+    table[:, ::2] = np.random.default_rng(rows + cols).standard_normal((rows, (cols + 1) // 2))
+    header = ["t", *(f"c_{j}" for j in range(1, cols + 1))]
+    got = _write_table(tmp_path, table).decode()
+    with_x = np.column_stack([np.arange(rows, dtype=float), table])
+    assert got == ",".join(header) + "\n" + _per_value_reference(with_x)
+
+
+def test_zero_lattice_columns_stay_on_the_vector_path(tmp_path, monkeypatch):
+    """The off-lattice columns of c0 = (0, 1, 0, 1) are zeros in every row:
+    they are written as 0 with no value formatted alone."""
+    calls = _spy_per_value(monkeypatch)
+    traj = integrate_rbk(np.array([0.0, 1.0, 0.0, 1.0]), 10.0)
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(traj, out)
+    assert calls == []
+    rows = out.read_text().splitlines()[1:]
+    assert {(r.split(",")[1], r.split(",")[3]) for r in rows} == {("0", "0")}
+    table = np.column_stack([traj.abscissae, traj.states, *(traj.aux[k] for k in sorted(traj.aux))])
+    assert "\n".join(rows) + "\n" == _per_value_reference(table)
+
+
+def test_forced_per_value_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
+    """With no rounding certified, every finite nonzero value is formatted
+    alone, and the bytes are those of the vector path."""
+    rng = np.random.default_rng(6)
+    values = _hard_values(rng)
+    values = values[np.isfinite(values) & (values != 0)][:4000]
+    table = values[: values.size // 8 * 8].reshape(-1, 8)
+    expected = _write_table(tmp_path, table)
+    calls = _spy_per_value(monkeypatch)
+    monkeypatch.setattr(cli, "_TIE_MARGIN", 0.5)  # |fraction - 1/2| <= 1/2 always
+    assert _write_table(tmp_path, table) == expected
+    x = np.arange(len(table), dtype=float)
+    assert len(calls) == table.size + np.count_nonzero(x)  # the abscissa column too
 
 
 def test_write_failing_part_way_leaves_no_file(tmp_path):

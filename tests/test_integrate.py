@@ -16,6 +16,7 @@ from rbklab.integrate import (
     IntegrationError,
     IntegratorSettings,
     Trajectory,
+    density_start,
     integrate_adaptive,
     integrate_logtime,
     integrate_phi_to_blowup,
@@ -683,7 +684,7 @@ def test_sample_grid_too_large_to_allocate_names_t_end():
 @pytest.mark.parametrize("phi0, cap, match", [
     (np.ones(1), 1e10, "need N in 3..20, got N=2"),
     (np.ones(20), 1e10, "need N in 3..20, got N=21"),
-    (np.ones((2, 2)), 1e10, "need N in 3..20"),
+    (np.ones(0), 1e10, "need N in 3..20, got N=1"),
     (np.ones(2), 0.5, "cap 0.5 must exceed phi_1(0) = 1.0"),
     (np.ones(2), math.inf, "cap inf must exceed phi_1(0) = 1.0 and be finite"),
 ])
@@ -696,6 +697,16 @@ def test_phi_start_refuses_before_the_first_field_call(monkeypatch, phi0, cap, m
     with pytest.raises(ValueError, match=re.escape(match)):
         integrate_phi_to_blowup(c0, cap)
     assert calls == []
+
+
+@pytest.mark.parametrize("c0", [np.ones((2, 2)), np.ones((1, 4)), np.ones(()), np.ones(0)])
+def test_phi_start_refuses_a_c0_that_is_not_a_vector_by_its_shape(c0):
+    """Before the N test, and in density_start's words: a 2x2 c0 is not
+    named N=4, which lies inside 3..20."""
+    match = re.escape(f"c0 must be a nonempty 1-D vector, got shape {c0.shape}")
+    for start in (density_start, lambda c0: phi_start(c0, 1e10)):
+        with pytest.raises(ValueError, match=match):
+            start(c0)
 
 
 @pytest.mark.parametrize("c0, match", [
