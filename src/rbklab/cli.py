@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, core, harness
+from . import asymptotics, core, csvtext, harness
 from .core import (
     blowup_laws,
     embed_reduced,
@@ -266,180 +265,12 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-# values formatted and written per block, and per slice of a block's byte
-# gather: the whole table's text is never built, a block's arrays stay near
-# 300 kB (the gather's index costs 200 bytes a value), and each numpy call of
-# _format_block is spread over enough values to cost little per value
-_CSV_BLOCK_VALUES = 2048
-_GATHER_VALUES = 256
-# |x| in this range takes the vector path: 10^(16 - k), its Dekker halves
-# and every partial product of _scaled stay normal and finite there
-_VECTOR_RANGE = (1e-200, 1e200)
-# a 17-digit rounding is certified when the fraction of the scaled value lies
-# this far from 1/2; the double-double's error there is below 1e-14
-_TIE_MARGIN = 1e-9
-# the longest '%.17g' text (-1.2345678901234567e-308) and its separator
-_FIELD = 25
-# the source bytes of one value (see _format_block), as little-endian words
-_WORD = np.dtype("<u4")
-
-
-def _word(text: bytes) -> int:
-    return int.from_bytes(text, "little")
-
-
-@functools.cache
-def _format_tables():
-    """(pow10, digits4, zeros4, lead, layout), built on first use.
-
-    pow10[:, e + 201] holds 10^(16 - e) as a double-double (hi, lo) and hi's
-    Dekker halves, for every decade e a value of _VECTOR_RANGE may have.
-    digits4[v] is v's four ASCII digits as one word and zeros4[v] its trailing
-    zeros.  A field's mode is X + 4 for fixed notation with decimal exponent X
-    in -4..16, 21 and 22 for d.ddde+XX with a 2- and 3-digit exponent, and 23
-    for inf and nan; lead[mode] is its count of digits before the dot, and
-    layout[18 mode + keep] the source byte of each byte of a field that keeps
-    keep digits."""
-    pairs = []
-    for e in range(-201, 202):
-        if e <= 16:
-            exact = 10 ** (16 - e)
-            hi = float(exact)
-            pairs.append((hi, float(exact - int(hi))))
-        else:  # 1/10^m - num/den, rounded once by int true division
-            hi = 1 / 10 ** (e - 16)
-            num, den = hi.as_integer_ratio()
-            pairs.append((hi, (den - num * 10 ** (e - 16)) / (10 ** (e - 16) * den)))
-    hi, lo = np.array(pairs).T
-    v = np.arange(10000)
-    digits4 = np.empty((10,) * 4 + (4,), np.uint8)  # digits4[a, b, c, d] = abcd
-    for j in range(4):
-        digits4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
-    zeros4 = (v % 10 == 0).astype(np.int8) + (v % 100 == 0) + (v % 1000 == 0) + (v == 0)
-    lead = [max(X + 1, 0) for X in range(-4, 17)] + [1, 1, 1]
-    layout = []
-    for mode, keep in itertools.product(range(24), range(18)):
-        before = lead[mode]
-        dot = [3] if keep > before else []  # only with digits kept past it
-        digits = [*range(7, 7 + before), *dot, *range(7 + before, 7 + keep)]
-        if mode < 4:  # 0.000ddd
-            digits = [2, 3, *[2] * (3 - mode), *range(7, 7 + keep)]
-        elif mode == 23:  # inf or nan
-            digits = [28, 29, 30]
-        exponent = {21: [24, 25, 30, 31], 22: [24, 25, 29, 30, 31]}.get(mode, [])
-        cols = [1, *digits, *exponent, 32]
-        layout.append(cols + [0] * (_FIELD - len(cols)))
-    digits4 = digits4.view(_WORD).ravel()
-    return (np.array([hi, lo, *_split(hi)]), digits4, zeros4, np.array(lead),
-            np.array(layout, np.int8))
-
-
-def _split(a):
-    """Dekker's split of a into halves of 26 significant bits."""
-    c = 134217729.0 * a  # 2^27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
-def _scaled(a, k, pow10):
-    """(p, q) with p + q = a 10^(16 - k) within about 1e-31 relative: p is the
-    rounded product a*hi, q its exact error (TwoProduct) plus a*lo."""
-    hi, lo, hh, hl = np.take(pow10, k + 201, axis=1)
-    ah, al = _split(a)
-    p = a * hi
-    return p, (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
-
-
-def _decade_shift(p, q):
-    """+1 where p + q >= 1e17, -1 where p + q < 1e16, else 0: p is a double
-    at most an ulp from p + q, so q decides only when p is on the bound."""
-    up = (p > 1e17) | ((p == 1e17) & (q >= 0))
-    return up.astype(np.intp) - ((p < 1e16) | ((p == 1e16) & (q < 0)))
-
-
-def _per_value(x: float) -> bytes:
-    """One value the vector path does not certify, formatted alone."""
-    return b"%.17g" % x
-
-
-def _format_block(block: np.ndarray, seps: np.ndarray) -> str:
-    """The text of block's rows, each value as '%.17g' writes it and followed
-    by its column's separator seps[j], a word holding ',' or a newline."""
-    pow10, digits4, zeros4, lead, layout = _format_tables()
-    x = block.ravel()
-    a = np.abs(x)
-    fast = (a >= _VECTOR_RANGE[0]) & (a <= _VECTOR_RANGE[1])
-    a[~fast] = 1.0
-    # k: the decade of the exact value, which log10's rounding may miss
-    # within an ulp of a power of ten
-    k = np.floor(np.log10(a)).astype(np.intp)
-    p, q = _scaled(a, k, pow10)
-    shift = _decade_shift(p, q)
-    if shift.any():
-        k += shift
-        p, q = _scaled(a, k, pow10)
-        fast &= _decade_shift(p, q) == 0
-    # n: the 17-digit integer, where the fraction is certified away from 1/2
-    whole = np.floor(q)
-    frac = q - whole
-    fast &= np.abs(frac - 0.5) > _TIE_MARGIN
-    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    top = n == 10**17  # rounded up into the next decade
-    n[top] = 10**16
-    X = k + top  # 0 where a was set to 1
-    zero, special = x == 0, ~np.isfinite(x)
-    n[zero] = 0
-
-    # the digits in five groups, the first of one digit
-    groups = np.empty((x.size, 5), np.int64)
-    for j in range(4, 0, -1):
-        rest = n // 10000
-        groups[:, j] = n - rest * 10000
-        n = rest
-    groups[:, 0] = n
-    # the significant digits: 17 less the trailing zeros, summed over the
-    # groups from the last while each is all zeros
-    zeros = np.take(zeros4, groups)
-    trailing = zeros[:, 0]
-    for j in range(1, 5):
-        trailing = zeros[:, j] + (zeros[:, j] == 4) * trailing
-    sig = 17 - trailing
-    mode = np.where((X >= -4) & (X <= 16), X + 4, 21 + (np.abs(X) >= 100))
-    mode[special] = 23
-    keep = np.maximum(sig, np.take(lead, mode))  # fixed notation keeps its integer digits
-
-    # source bytes: 0 NUL, 1 sign, 2 '0', 3 '.', 4..23 the digit groups (digit
-    # i at 7 + i), 24 'e', 25 the exponent's sign, 28..31 its four digits or
-    # inf/nan, 32 the separator; NULs are dropped
-    src = np.empty((*block.shape, 9), _WORD)
-    src[:, :, 8] = seps
-    src = src.reshape(-1, 9)
-    src[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), _word(b"\0-0."), _word(b"\0\x000."))
-    src[:, 1:6] = np.take(digits4, groups)
-    src[:, 6] = np.where(X < 0, _word(b"e-\0\0"), _word(b"e+\0\0"))
-    src[:, 7] = np.take(digits4, np.abs(X))
-    src[special, 7] = np.where(np.isnan(x[special]), _word(b"nan\0"), _word(b"inf\0"))
-    code = 18 * mode + keep
-    fields = np.empty((x.size, _FIELD), np.uint8)
-    for start in range(0, x.size, _GATHER_VALUES):
-        stop = min(x.size, start + _GATHER_VALUES)
-        index = np.add(np.take(layout, code[start:stop], axis=0),
-                       np.arange(36 * start, 36 * stop, 36)[:, None])
-        np.take(src.view(np.uint8), index, out=fields[start:stop])
-    for i in np.flatnonzero(~(fast | zero | special)):
-        text = _per_value(float(x[i])) + bytes([src[i, 8]])
-        fields[i] = 0
-        fields[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return fields.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with 17-significant-digit values; header names the chart columns.
 
     Columns: the abscissa, the states, then the aux series in sorted name
     order.  Every value is written as '%.17g' % x (format(x, '.17g')) writes
-    it: _format_block formats blocks of about _CSV_BLOCK_VALUES values with
-    whole-array arithmetic, and formats alone each value it cannot certify."""
+    it, by csvtext.write_rows."""
     name = "phi" if traj.chart == "y" else "c"
     header = [traj.chart] + [f"{name}_{j}" for j in range(1, traj.dim + 1)]
     aux_names = sorted(traj.aux)
@@ -447,13 +278,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     table = np.column_stack(
         [traj.abscissae, traj.states, *(traj.aux[name] for name in aux_names)]
     )
-    seps = np.array([_word(b",")] * (len(header) - 1) + [_word(b"\n")], _WORD)
-    rows = max(1, _CSV_BLOCK_VALUES // len(header))
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), rows):
-            fh.write(_format_block(table[start : start + rows], seps))
+        csvtext.write_rows(fh, table)
 
     _write_atomic(path, write)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbklab import asymptotics, cli, core, harness
+from rbklab import asymptotics, cli, core, csvtext, harness
 from rbklab import integrate as integrate_module
 from rbklab.cli import (
     ConfigError,
@@ -400,7 +400,7 @@ def test_csv_bytes_match_a_per_value_reference(tmp_path, chart):
     reader gives the table back bitwise."""
     rng = np.random.default_rng(11)
     dim = 4
-    n = 2 * (cli._CSV_BLOCK_VALUES // (dim + 3)) + 37  # the x, c and aux columns
+    n = 2 * (csvtext.BLOCK_VALUES // (dim + 3)) + 37  # the x, c and aux columns
     states = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 301, (n, dim))
     states.flat[: 3 * len(_SPECIAL) : 3] = _SPECIAL
     x = np.concatenate(([0.0, 5e-324, 1e-300], np.cumsum(rng.uniform(0.5, 1.5, n - 3))))
@@ -458,8 +458,8 @@ def _write_table(tmp_path, table) -> bytes:
 def _spy_per_value(monkeypatch) -> list:
     """The values the writer formats one at a time, as it formats them."""
     calls = []
-    per_value = cli._per_value
-    monkeypatch.setattr(cli, "_per_value", lambda x: calls.append(x) or per_value(x))
+    per_value = csvtext._per_value
+    monkeypatch.setattr(csvtext, "_per_value", lambda x: calls.append(x) or per_value(x))
     return calls
 
 
@@ -470,13 +470,13 @@ def test_vector_formatting_matches_format_per_value(seed):
     values = _hard_values(rng)
     values = rng.permutation(np.append(values, np.zeros(-values.size % 8)))
     table = values.reshape(-1, 8)
-    seps = np.array([ord(",")] * 7 + [ord("\n")], cli._WORD)
+    seps = np.array([ord(",")] * 7 + [ord("\n")], csvtext._WORD)
     for start in range(0, len(table), 300):
         block = table[start : start + 300]
-        assert cli._format_block(block, seps) == _per_value_reference(block)
+        assert csvtext._format_block(block, seps) == _per_value_reference(block)
 
 
-_BLOCK_OF_8 = cli._CSV_BLOCK_VALUES // 8  # rows in a block of 8 columns
+_BLOCK_OF_8 = csvtext.BLOCK_VALUES // 8  # rows in a block of 8 columns
 
 
 @pytest.mark.parametrize("rows, cols", [
@@ -517,7 +517,7 @@ def test_forced_per_value_fallback_gives_the_same_bytes(tmp_path, monkeypatch):
     table = values[: values.size // 8 * 8].reshape(-1, 8)
     expected = _write_table(tmp_path, table)
     calls = _spy_per_value(monkeypatch)
-    monkeypatch.setattr(cli, "_TIE_MARGIN", 0.5)  # |fraction - 1/2| <= 1/2 always
+    monkeypatch.setattr(csvtext, "_TIE_MARGIN", 0.5)  # |fraction - 1/2| <= 1/2 always
     assert _write_table(tmp_path, table) == expected
     x = np.arange(len(table), dtype=float)
     assert len(calls) == table.size + np.count_nonzero(x)  # the abscissa column too
