@@ -74,6 +74,7 @@ def _format_tables():
         digits4[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
         zeros4 = is_zero * (1 + zeros4[..., None]) if j else zeros4
     layout = np.zeros((24, 18, _FIELD), np.int8)
+    # (mode, digits before the dot) of fixed notation, e = -4..16, then the rest
     for (mode, before, *_), keep in itertools.product(by_exponent[197:218] + [
             (21, 1), (22, 1), (23, 1)], range(18)):
         dot = [3] if keep > before else []  # only with digits kept past it
