@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (
     blowup_laws,
-    checked_factorial,
     longtime_laws,
     longtime_laws_ambient,
     support_profile,
@@ -166,7 +165,7 @@ def psi_diagnostic(traj) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     states = traj.states[mask]
     n = traj.dim + 1
     return tau, {
-        j: states[:, j - 1] * checked_factorial(n - j) / tau ** (n - j) - 1.0
+        j: states[:, j - 1] * math.factorial(n - j) / tau ** (n - j) - 1.0
         for j in range(1, n)
     }
 

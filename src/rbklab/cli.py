@@ -517,12 +517,9 @@ def _lattice_laws(args):
     N = 6 if args.N is None else args.N
     m = 1 if args.m is None else args.m
     p = N if args.p is None else args.p
-    if min(N, m, p) < 1:
-        raise UsageError(f"--N, --m and --p must be positive, got N={N}, m={m}, p={p}")
-    if p % m:
-        raise UsageError(f"p={p} not divisible by m={m}")
     try:
-        return (N, m, p), longtime_laws(p // m, m), longtime_laws_ambient(N, m, p)
+        ambient = longtime_laws_ambient(N, m, p)  # the lattice rule, before p // m
+        return (N, m, p), longtime_laws(p // m, m), ambient
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

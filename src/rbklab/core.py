@@ -25,9 +25,9 @@ __all__ = [
     "AsymptoticLaw",
     "SupportProfile",
     "blowup_laws",
-    "checked_factorial",
     "embed_reduced",
     "gcd_reduce",
+    "law_dimension",
     "longtime_laws",
     "longtime_laws_ambient",
     "nu_odd_closed",
@@ -37,20 +37,16 @@ __all__ = [
     "support_profile",
 ]
 
-# Factorial-based constants stay in exact integer arithmetic up to 20!;
-# anything above is rejected rather than silently losing precision.
+# Largest dimension N of the law tables, and so of the phi chart
 MAX_LAW_DIMENSION = 20
 
 
-def checked_factorial(k: int) -> int:
-    """Exact integer factorial, restricted to k <= 20 (desk-scale guard)."""
-    if k < 0:
-        raise ValueError(f"factorial of negative value {k}")
-    if k > MAX_LAW_DIMENSION:
-        raise ValueError(
-            f"factorial({k}) exceeds the exact-integer guard (max {MAX_LAW_DIMENSION}!)"
-        )
-    return math.factorial(k)
+def law_dimension(n, low: int) -> int:
+    """n as an int, once it is an integer in low..MAX_LAW_DIMENSION: the range
+    of the blowup laws (low 3) and of the long-time laws (low 2)."""
+    if not (low <= n <= MAX_LAW_DIMENSION and n == int(n)):
+        raise ValueError(f"need N in {low}..{MAX_LAW_DIMENSION}, got N={n}")
+    return int(n)
 
 
 def _as_vector(c, name: str = "c") -> np.ndarray:
@@ -232,15 +228,14 @@ def longtime_laws(n_eff: int, m: int = 1) -> dict[int, AsymptoticLaw]:
     simulation should reproduce; see :func:`longtime_laws_ambient` for the
     alternative convention that keeps the ambient dimension.
     """
-    if int(n_eff) != n_eff or n_eff < 2:
+    if n_eff < 2:
         raise ValueError(
             "long-time laws need effective dimension >= 2; a single-component "
             "system decays by the exact closed form c(t) = 1/(c(0)^-1 + t)"
         )
+    n_eff = law_dimension(n_eff, 2)
     if int(m) != m or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if n_eff > MAX_LAW_DIMENSION:
-        raise ValueError(f"effective dimension {int(n_eff)} exceeds the factorial guard")
     return _perm_laws(n_eff, m, n_eff)
 
 
@@ -250,17 +245,17 @@ def longtime_laws_ambient(N: int, m: int = 1, p: int | None = None) -> dict[int,
 
     The two conventions coincide when m = 1 and p = N and disagree otherwise;
     the verification suite probes numerically which one the dynamics follows.
+    The lattice must be one: m a positive integer and p (default N) a
+    multiple of m with m <= p <= N.
     """
+    N = law_dimension(N, 2)
     if p is None:
         p = N
-    if int(N) != N or N < 2:
-        raise ValueError(f"ambient dimension must be an integer >= 2, got {N}")
-    if int(m) != m or m < 1 or p % m:
-        raise ValueError(f"inconsistent lattice: m={m}, p={p}")
-    if p > N:
-        raise ValueError(f"p={p} exceeds N={N}")
-    if N > MAX_LAW_DIMENSION:
-        raise ValueError(f"dimension {N} exceeds the factorial guard")
+    if not (1 <= m <= p <= N and m == int(m) and p % m == 0):
+        raise ValueError(
+            f"inconsistent lattice: need p a multiple of the integer m with "
+            f"1 <= m <= p <= N, got m={m}, p={p}, N={N}"
+        )
     return _perm_laws(N, m, p // m)
 
 
@@ -272,17 +267,13 @@ def blowup_laws(N: int) -> dict[int, AsymptoticLaw]:
 
     for j = 1 .. N-1.  Undefined at N = 2 (the exponent denominator vanishes).
     """
-    if int(N) != N or N < 3:
-        raise ValueError(f"blowup laws are undefined for N={N}; need N >= 3")
-    N = int(N)
-    if N > MAX_LAW_DIMENSION:
-        raise ValueError(f"dimension {N} exceeds the factorial guard")
-    base = checked_factorial(N - 1) / (N - 2)
+    N = law_dimension(N, 3)
+    base = math.factorial(N - 1) / (N - 2)
     laws = {}
     for j in range(1, N):
         alpha = (N - j) / (N - 2)
         laws[j] = AsymptoticLaw(
-            exponent=alpha, prefactor=base**alpha / checked_factorial(N - j)
+            exponent=alpha, prefactor=base**alpha / math.factorial(N - j)
         )
     return laws
 

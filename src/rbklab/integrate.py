@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core
-from .core import MAX_LAW_DIMENSION, checked_factorial, rbk_field
+from .core import law_dimension, rbk_field
 
 __all__ = [
     "IntegrationError",
@@ -741,15 +741,13 @@ _PHI_ROWS_PER_DECADE = 4
 def phi_start(c0, cap: float) -> np.ndarray:
     """phi0 = c0[:-1]/c_N, once the phi chart accepts c0 and cap: c0 a 1-D
     vector (refused by its shape as density_start refuses it), N = len(c0) in
-    3..MAX_LAW_DIMENSION, c_N finite and positive, phi0 finite (the ratio may
-    overflow) and strictly positive, and cap finite and above phi_1(0)."""
+    3..MAX_LAW_DIMENSION (core.law_dimension), c_N finite and positive, phi0
+    finite (the ratio may overflow) and strictly positive, and cap finite and
+    above phi_1(0)."""
     c0 = np.asarray(c0, dtype=float)
     if c0.ndim != 1 or c0.size < 1:
         core._as_vector(c0, "c0")  # raises the shape error
-    if not 3 <= c0.size <= MAX_LAW_DIMENSION:
-        raise ValueError(
-            f"the phi chart and its blowup laws need N in 3..{MAX_LAW_DIMENSION}, got N={c0.size}"
-        )
+    law_dimension(c0.size, 3)
     if not 0 < c0[-1] < math.inf:
         raise ValueError(f"the phi chart needs a finite c_N > 0, got c_N = {c0[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -802,7 +800,7 @@ def integrate_phi_to_blowup(
     n = phi0.size + 1
     dim = n - 2
     last0 = float(phi0[-1])
-    tail_factor = checked_factorial(n - 1) / (n - 2)
+    tail_factor = math.factorial(n - 1) / (n - 2)
     eps = float(np.finfo(float).eps)
     ds = math.log(10.0) / ((n - 1) * _PHI_ROWS_PER_DECADE)
     # in logs, so that no cap overflows ((N-1)! cap)

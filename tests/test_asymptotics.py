@@ -17,7 +17,7 @@ from rbklab.asymptotics import (
     ratio_divergence,
 )
 from rbklab.core import blowup_laws
-from rbklab.integrate import Trajectory, integrate_phi_to_blowup
+from rbklab.integrate import Trajectory, integrate_phi_to_blowup, integrate_rbk
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,26 @@ def test_psi_diagnostic_requires_tau():
         psi_diagnostic(traj)
 
 
+def test_psi_diagnostic_computes_past_the_law_dimension():
+    """The psi laws have no dimension limit of their own: an exact
+    polynomial run at N = 23 gives residuals at rounding level."""
+    n = 23
+    tau = np.geomspace(1e-2, 1e4, 50)
+    states = np.column_stack([tau ** (n - j) / math.factorial(n - j) for j in range(1, n)])
+    traj = Trajectory("y", np.linspace(0, 1, tau.size), states, aux={"tau": tau})
+    _, rho = psi_diagnostic(traj)
+    assert list(rho) == list(range(1, n))
+    assert max(np.max(np.abs(r)) for r in rho.values()) < 1e-14
+
+
+def test_psi_diagnostic_refuses_a_two_row_run():
+    """The run stops at the cap after its first step: one sample with tau > 0."""
+    traj, _, _ = integrate_phi_to_blowup(np.ones(4), 1.5)
+    assert traj.n_samples == 2
+    with pytest.raises(ValueError, match="need at least 2 samples with tau > 0"):
+        psi_diagnostic(traj)
+
+
 def test_psi_last_component_closed_form(blowup_n4):
     """psi_{N-1}(tau) = tau + psi_{N-1}(0) exactly, so its residual is
     psi_{N-1}(0)/tau."""
@@ -259,6 +279,18 @@ def test_longtime_diagnostic_lattice_mismatch():
     states = np.array([[0.0, 1.0, 0.0, 1.0], [0.1, 0.5, 0.0, 0.5]])
     traj = Trajectory("t", [2.0, 4.0], states)
     with pytest.raises(ValueError, match="lattice mismatch"):
+        longtime_diagnostic(traj)
+
+
+def test_longtime_diagnostic_refuses_an_unknown_variant():
+    traj = Trajectory("t", [2.0, 4.0], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="unknown variant 'x'"):
+        longtime_diagnostic(traj, variant="x")
+
+
+def test_longtime_diagnostic_needs_samples_beyond_t_one():
+    traj = integrate_rbk(np.ones(3), 0.5)
+    with pytest.raises(ValueError, match="need samples beyond t = 1"):
         longtime_diagnostic(traj)
 
 

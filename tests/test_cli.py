@@ -307,7 +307,7 @@ def test_self_similar_family_is_the_core_profile():
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"N": 25, "t_end": 1.0}, "factorial guard"),
+        ({"N": 25, "t_end": 1.0}, "need N in 2..20"),
         ({"N": 3, "chart": "phi", "cap": 1e4}, "t or log-t chart"),
         ({"N": 3, "t_end": 1.0}, "need samples beyond t = 1"),
         ({"N": 3, "t_end": 1.0, "chart": "log-t"}, "need samples beyond t = 1"),
@@ -1053,13 +1053,18 @@ def test_constants_invalid_combinations():
 @pytest.mark.parametrize(
     "lattice",
     [["--N", "6", "--m", "0"], ["--N", "0", "--m", "0"], ["--N", "6", "--p", "-6"],
-     ["--N", "1"]],
+     ["--N", "1"], ["--N", "6", "--p", "0"], ["--N", "6", "--m", "4"], ["--N", "0"]],
 )
 def test_lattice_arguments_rejected_alike(capsys, command, lattice):
+    """The lattice rule is longtime_laws_ambient's: both commands print its
+    message, with no traceback, and exit 1 (--m 0 before any p // m)."""
+    flags = dict(zip(lattice[::2], map(int, lattice[1::2])))
+    N = flags["--N"]
+    with pytest.raises(ValueError) as refusal:
+        core.longtime_laws_ambient(N, flags.get("--m", 1), flags.get("--p", N))
     assert main([*command, *lattice]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert (captured.out, captured.err) == ("", f"error: {refusal.value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1175,7 +1180,7 @@ def test_sweep_nested_unknown_key_exits_3_before_running(tmp_path, capsys):
     [
         # N=4 mismatches the explicit c0
         ({"c0": [1.0, 1.0, 1.0], "t_end": 2.0}, {"N": [3, 4]}, "cell001: c0 has length 3"),
-        ({"chart": "phi"}, {"N": [3, 2]}, "cell001: the phi chart and its blowup laws need N"),
+        ({"chart": "phi"}, {"N": [3, 2]}, "cell001: need N in 3..20, got N=2"),
         ({"chart": "phi", "N": 3}, {"cap": [1e4, 0.5]}, "cell001: cap 0.5 must exceed phi_1(0)"),
         ({"chart": "t", "N": 3}, {"t_end": [2.0, -1]},
          "cell001: t_end must be finite and positive"),

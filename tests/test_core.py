@@ -3,6 +3,7 @@ constants tables, closed forms, and the algebraic invariants of the fields."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rbklab.core import (
+    MAX_LAW_DIMENSION,
     SupportProfile,
     blowup_laws,
     embed_reduced,
     gcd_reduce,
+    law_dimension,
     longtime_laws,
     longtime_laws_ambient,
     nu_odd_closed,
@@ -183,6 +186,8 @@ def test_embed_reduced_examples():
 def test_embed_reduced_overflow():
     with pytest.raises(ValueError, match="index overflow"):
         embed_reduced([1.0, 2.0], 3, 5)
+    with pytest.raises(ValueError, match=re.escape("m must be a positive integer, got 1.5")):
+        embed_reduced([1.0], 1.5, 6)
 
 
 @given(
@@ -248,9 +253,50 @@ def test_longtime_laws_rejects_single_component():
         longtime_laws(1)
 
 
-def test_longtime_laws_factorial_guard():
-    with pytest.raises(ValueError, match="factorial guard"):
-        longtime_laws(21)
+@pytest.mark.parametrize("table, args, low", [
+    (blowup_laws, (21,), 3),
+    (blowup_laws, (2,), 3),
+    (blowup_laws, (3.5,), 3),
+    (longtime_laws, (21,), 2),
+    (longtime_laws, (2.5, 1), 2),
+    (longtime_laws_ambient, (21, 1, 3), 2),
+    (longtime_laws_ambient, (1,), 2),
+], ids=["blowup-21", "blowup-2", "blowup-3.5", "longtime-21", "longtime-2.5",
+        "ambient-21", "ambient-1"])
+def test_law_tables_refuse_a_dimension_out_of_range(table, args, low):
+    """Every law table refuses its dimension through law_dimension, in its
+    one message."""
+    match = f"need N in {low}..{MAX_LAW_DIMENSION}, got N={args[0]}"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        table(*args)
+
+
+def test_law_dimension_returns_an_int_inside_the_range():
+    assert [law_dimension(n, 2) for n in (2, 20.0)] == [2, 20]
+    assert type(law_dimension(20.0, 3)) is int
+    for n in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"got N={n}")):
+            law_dimension(n, 2)
+
+
+@pytest.mark.parametrize("N, m, p", [
+    (6, 1, 0), (6, 2, -4), (6, 0, 6), (6, 4, 6), (6, 2, 5), (6, 1, 7), (6, 1.5, 6), (6, -2, -4),
+])
+def test_longtime_laws_ambient_refuses_an_inconsistent_lattice(N, m, p):
+    """m a positive integer and p a multiple of m with m <= p <= N."""
+    match = (f"inconsistent lattice: need p a multiple of the integer m with "
+             f"1 <= m <= p <= N, got m={m}, p={p}, N={N}")
+    with pytest.raises(ValueError, match=re.escape(match)):
+        longtime_laws_ambient(N, m, p)
+
+
+def test_longtime_laws_ambient_on_a_lattice_below_n():
+    """p < N keeps the ambient N in the prefactors: (N-1)!/(N-i)! for
+    i = 1..p/m."""
+    laws = longtime_laws_ambient(6, 2, 4)
+    assert {j: (law.exponent, law.prefactor) for j, law in laws.items()} == {
+        2: (0.0, 1.0), 4: (1.0, 5.0),
+    }
 
 
 def test_blowup_laws_values():
@@ -311,6 +357,10 @@ def test_self_similar_rejects_bad_parameters():
     for alpha, kappa in ((0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -2.0)):
         with pytest.raises(ValueError):
             self_similar(alpha, kappa, 0.0, 3)
+    with pytest.raises(ValueError, match=re.escape("t must be nonnegative, got -1.0")):
+        self_similar(0.5, 1.0, -1.0, 3)
+    with pytest.raises(ValueError, match=re.escape("N must be a positive integer, got 2.5")):
+        self_similar(0.5, 1.0, 0.0, 2.5)
 
 
 # ---------------------------------------------------------------------------

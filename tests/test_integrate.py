@@ -418,6 +418,38 @@ def test_span_validation():
         integrate_adaptive(density_rate, np.ones(3), (0.0, 1.0), aux_names=DENSITY_AUX)
 
 
+def test_adaptive_refuses_a_grid_that_does_not_increase():
+    for grid in ([0.5, 0.5], [0.6, 0.5]):
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            integrate_adaptive(lambda s, z: -z, np.ones(2), (0.0, 1.0), grid=grid)
+
+
+def test_adaptive_refuses_an_initial_state_that_is_not_a_vector():
+    with pytest.raises(IntegrationError, match="non-finite or non-vector initial state"):
+        integrate_adaptive(lambda s, z: -z, np.ones((2, 2)), (0.0, 1.0))
+
+
+def test_step_size_underflow_fails_well_inside_max_steps():
+    """A rate finite for s < 0.25 and NaN beyond it: each step across 0.25 is
+    rejected, h shrinks towards the floor relative to s, and the run fails
+    there by name instead of spending its attempt budget."""
+    calls = []
+
+    def rate(s, z):
+        calls.append(s)
+        return np.full(z.size, 1.0 if s < 0.25 else math.nan)
+
+    with pytest.raises(IntegrationError,
+                       match=r"step size underflow at s=0\.25 \(last accepted h="):
+        integrate_adaptive(rate, np.ones(2), (0.0, 1.0), IntegratorSettings(max_steps=10_000))
+    assert len(calls) < 10_000
+
+
+def test_trajectory_refuses_an_aux_series_of_the_wrong_length():
+    with pytest.raises(ValueError, match="aux series 'tau' length mismatch"):
+        Trajectory("t", [0.0, 1.0], np.ones((2, 2)), aux={"tau": [0.0]})
+
+
 def test_nan_step_size_fails_fast():
     """A NaN rate at the initial state raises after that one call, naming
     it, instead of spinning through the attempt budget on NaN trial steps."""
