@@ -27,6 +27,7 @@ __all__ = [
     "blowup_laws",
     "embed_reduced",
     "gcd_reduce",
+    "lattice_spacing",
     "law_dimension",
     "longtime_laws",
     "longtime_laws_ambient",
@@ -47,6 +48,15 @@ def law_dimension(n, low: int) -> int:
     if not (low <= n <= MAX_LAW_DIMENSION and n == int(n)):
         raise ValueError(f"need N in {low}..{MAX_LAW_DIMENSION}, got N={n}")
     return int(n)
+
+
+def lattice_spacing(m) -> int:
+    """m as an int, once it is a positive integer: the spacing of a support
+    lattice, as embed_reduced, longtime_laws and longtime_laws_ambient take
+    it."""
+    if not (1 <= m < math.inf and m == int(m)):
+        raise ValueError(f"m must be a positive integer, got {m}")
+    return int(m)
 
 
 def _as_vector(c, name: str = "c") -> np.ndarray:
@@ -191,8 +201,7 @@ def embed_reduced(c_reduced, m: int, N: int) -> np.ndarray:
     """Inverse of the lattice reduction: place c~_j at subscript j*m, zeros
     elsewhere.  Requires len(c~) * m <= N."""
     c_reduced = _as_vector(c_reduced, "c_reduced")
-    if m < 1 or int(m) != m:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    m = lattice_spacing(m)
     if c_reduced.size * m > N:
         raise ValueError(
             f"index overflow: {c_reduced.size} components at spacing m={m} "
@@ -234,9 +243,7 @@ def longtime_laws(n_eff: int, m: int = 1) -> dict[int, AsymptoticLaw]:
             "system decays by the exact closed form c(t) = 1/(c(0)^-1 + t)"
         )
     n_eff = law_dimension(n_eff, 2)
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    return _perm_laws(n_eff, m, n_eff)
+    return _perm_laws(n_eff, lattice_spacing(m), n_eff)
 
 
 def longtime_laws_ambient(N: int, m: int = 1, p: int | None = None) -> dict[int, AsymptoticLaw]:
@@ -245,13 +252,14 @@ def longtime_laws_ambient(N: int, m: int = 1, p: int | None = None) -> dict[int,
 
     The two conventions coincide when m = 1 and p = N and disagree otherwise;
     the verification suite probes numerically which one the dynamics follows.
-    The lattice must be one: m a positive integer and p (default N) a
-    multiple of m with m <= p <= N.
+    The lattice must be one: m a positive integer (lattice_spacing) and p
+    (default N) a multiple of m with m <= p <= N.
     """
     N = law_dimension(N, 2)
+    lattice_spacing(m)
     if p is None:
         p = N
-    if not (1 <= m <= p <= N and m == int(m) and p % m == 0):
+    if not (m <= p <= N and p % m == 0):
         raise ValueError(
             f"inconsistent lattice: need p a multiple of the integer m with "
             f"1 <= m <= p <= N, got m={m}, p={p}, N={N}"

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core
-from .core import law_dimension, rbk_field
+# no driver calls rbk_field; it stays importable from this module, where the
+# benchmark's trace (bench/spans.py) looks it up
+from .core import law_dimension, rbk_field  # noqa: F401
 
 __all__ = [
     "IntegrationError",
@@ -211,19 +213,61 @@ def _density_rate(dim: int):
     s = log(1 + t): the field is quadratic, so du/ds = u + field(u) for
     u = z[:dim], then the rates u_N, u_1 and sum u of the accumulators in
     _DENSITY_AUX order, the t-chart rates of y, tau and nu_int because
-    int c dt = int u ds."""
+    int c dt = int u ds.
+
+    The field is core.rbk_field's, bitwise, from one correlation per call
+    and without its checks: density_start checks c0 once, and the stepper
+    rejects a stage whose rate is not finite."""
     n = dim + 3
+    # the production sums, made once per run; the last stays 0, since the
+    # sum is empty for j = N
+    prod = np.zeros(dim)
 
     def rate(s, z):
         u = z[:dim]
         out = np.empty(n)
-        # looked up at call time, so a wrapper installed on the module
-        # attribute (the benchmark's traced run) sees every field call
-        np.add(rbk_field(u), u, out=out[:dim])
+        head = out[:dim]
+        prod[: dim - 1] = np.correlate(u, u, "full")[dim:]
+        nu = np.add.reduce(u)
+        np.multiply(u, nu, out=head)
+        np.subtract(prod, head, out=head)
+        head += u
         out[dim] = u[-1]
         out[dim + 1] = u[0]
-        out[dim + 2] = np.add.reduce(u)
+        out[dim + 2] = nu
         return out
+
+    return rate
+
+
+def _log_psi_rate(dim: int, last0: float):
+    """Packed rate of the blowup run (integrate_phi_to_blowup) of
+    z = (w_1..w_{N-2}, y), w_j = log psi_j, in s = log(1 + tau):
+
+        dw_j/ds = g F_j(psi) / psi_j,   dy/ds = g,   g = (1 + tau) / psi_1,
+
+    with psi_{N-1} = tau + last0 and F = core.phi_field, bitwise, from one
+    correlation of [psi, 1] per call and without its checks: phi_start
+    checks phi0 once, and the stepper rejects a stage whose rate is not
+    finite.  A psi_j that underflows to 0 makes the rate inf or NaN, never
+    an exception (numpy scalars divide, so psi_1 = 0 gives g = inf)."""
+    n = dim + 2
+    # [psi, 1], made once per run: exp(z) fills the first dim + 1 slots, and
+    # slot dim, exp(y) there, is overwritten by psi_{N-1}
+    full = np.ones(n)
+    psi = full[: dim + 1]
+
+    def rate(s, z):
+        tau = math.expm1(s)
+        np.exp(z, out=psi)
+        psi[dim] = tau + last0
+        g = (1.0 + tau) / psi[0]
+        f = np.correlate(full, full, "full")[n:]
+        # slot dim of g F / psi is overwritten by the rate of y
+        f *= g
+        f /= psi
+        f[dim] = g
+        return f
 
     return rate
 
@@ -377,13 +421,13 @@ def _all_finite(x) -> bool:
     return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
-def _error_norm(h, k, scale) -> float:
+def _error_norm(h, k12, scale) -> float:
     """The error norm of a step of size h, as the code DOP853 takes it:
     h E5^2 / sqrt(n (E5^2 + 0.01 E3^2)), for E5^2 and E3^2 the sums of
     squares of the 5th- and 3rd-order estimates over scale, so about the RMS
     of the 5th-order one while the 3rd-order one is not ten times larger.
-    Non-finite when a sum overflows."""
-    q = _ERR @ k[:12]
+    Non-finite when a sum overflows; k12 holds the first 12 stage rates."""
+    q = _ERR.dot(k12)
     q /= scale
     q *= q
     err5, err3 = np.add.reduce(q, axis=1).tolist()
@@ -400,7 +444,7 @@ def _dense_output(z, z_new, h, k, theta):
     dz = z_new - z
     r3 = h * k[0] - dz
     r4 = dz - h * k[12] - r3
-    d = _D @ k
+    d = _D.dot(k)
     d *= h
     th = theta[:, None]
     th1 = 1.0 - th
@@ -517,6 +561,9 @@ def integrate_adaptive(
     # k[0] always holds the rate at the current (s, z): FSAL after an
     # accepted step, untouched by a rejected one
     k = np.empty((16, z0.size))
+    # heads[i] is k[:i], the stage rates that row i of a tableau weighs;
+    # ndarray.dot costs less than @ on these sizes and gives the same bits
+    heads = [k[:i] for i in range(17)]
     s, z = s0, z0
     k[0] = rate(s, z)
     if not _all_finite(k[0]):
@@ -558,8 +605,8 @@ def integrate_adaptive(
         stage, err = 0, math.nan
         try:
             for stage, (node, a_row) in enumerate(_STAGES, 1):
-                k[stage] = rate(s + node * h_step, z + h_step * (a_row @ k[:stage]))
-            z_new = z + h_step * (_B @ k[:12])
+                k[stage] = rate(s + node * h_step, z + h_step * a_row.dot(heads[stage]))
+            z_new = z + h_step * _B.dot(heads[12])
             stage = 12
             k[12] = rate(s_new, z_new)
             if _all_finite(z_new) and _all_finite(k[12]):
@@ -567,7 +614,7 @@ def integrate_adaptive(
                 np.maximum(scale, np.abs(z_new), out=scale)
                 scale *= rtol
                 scale += atol
-                err = _error_norm(h_step, k, scale)
+                err = _error_norm(h_step, heads[12], scale)
         except (ValueError, FloatingPointError, OverflowError):
             pass
         n_evals += stage
@@ -588,7 +635,7 @@ def integrate_adaptive(
                 stage, block = 12, None
                 try:
                     for stage, (node, a_row) in enumerate(_DENSE_STAGES, 13):
-                        k[stage] = rate(s + node * h_step, z + h_step * (a_row @ k[:stage]))
+                        k[stage] = rate(s + node * h_step, z + h_step * a_row.dot(heads[stage]))
                     block = _dense_output(z, z_new, h_step, k, (grid[grid_idx:j] - s) / h_step)
                 except (ValueError, FloatingPointError, OverflowError):
                     pass
@@ -774,8 +821,11 @@ def integrate_phi_to_blowup(
 
         dw_j/ds = (1 + tau) F_j(psi) / (psi_1 psi_j),   dy/ds = (1 + tau) / psi_1,
 
-    with F = core.phi_field.  psi_{N-1} has rate 1 in tau, so it is
-    tau + phi_{N-1}(0) exactly and is not integrated.  Near blowup
+    with F = core.phi_field (the rate is _log_psi_rate's).  psi_{N-1} has
+    rate 1 in tau, so it is tau + phi_{N-1}(0) exactly and is not
+    integrated.  A trial stage that drives some psi_j to 0 or past the
+    double range gives an inf or NaN rate, which the stepper rejects like
+    any non-finite stage; nothing raises and numpy does not warn.  Near blowup
     psi_j ~ tau^(N-j)/(N-j)!, so w is asymptotically linear in s and the
     pair's steps grow.  The run is sampled on a grid uniform in s with
     _PHI_ROWS_PER_DECADE rows per decade of phi_1 ~ tau^(N-1)/(N-1)!, up to
@@ -807,23 +857,6 @@ def integrate_phi_to_blowup(
     s_cap = math.log1p(math.exp((math.lgamma(n) + math.log(cap)) / (n - 1)))
     grid = ds * np.arange(1, int(s_cap / ds) + 2)
 
-    def rate(s, z):
-        tau = math.expm1(s)
-        # z is (w, y): slot dim of its exponential becomes psi_{N-1}
-        psi = np.exp(z)
-        psi[dim] = tau + last0
-        # core.phi_field is looked up at call time, like rbk_field in
-        # _density_rate.  It runs before the divisions: a trial stage that
-        # drives some exp(w_j) to 0 makes it raise ValueError, which rejects
-        # the stage, so psi_1 = 0 is never divided by
-        f = core.phi_field(psi)
-        g = (1.0 + tau) / psi[0]
-        # slot dim of g f / psi is overwritten by the rate of y
-        out = g * f
-        out /= psi
-        out[dim] = g
-        return out
-
     def converged(s, z):
         # np.exp as for the reported phi, so the last row is past the cap;
         # the tail bound is compared without dividing by a small tau
@@ -831,7 +864,7 @@ def integrate_phi_to_blowup(
 
     try:
         run = integrate_adaptive(
-            rate,
+            _log_psi_rate(dim, last0),
             np.append(np.log(phi0[:dim]), 0.0),
             (0.0, np.inf),
             settings,

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbklab import asymptotics, cli, core, csvtext, harness
-from rbklab import integrate as integrate_module
 from rbklab.cli import (
     ConfigError,
     main,
@@ -667,15 +666,16 @@ def test_simulate_overflowing_initial_data_exits_2_without_a_warning(
 ):
     """The field of c0 = 1e160 overflows at the initial state: the run fails
     after that one rate call, naming the non-finite rate and s = 0, and exits
-    2, with no numpy warning on the way."""
+    2, with no numpy warning on the way.  The density rate forms its field
+    from one np.correlate per call, so that counts the rate calls."""
     calls = []
-    field = integrate_module.rbk_field
+    correlate = np.correlate
 
-    def counted(c):
-        calls.append(c)
-        return field(c)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return correlate(*args, **kwargs)
 
-    monkeypatch.setattr(integrate_module, "rbk_field", counted)
+    monkeypatch.setattr(np, "correlate", counted)
     cfg = write_config(tmp_path, N=3, c0=[1e160, 1e160, 1e160])
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err

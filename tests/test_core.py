@@ -17,6 +17,7 @@ from rbklab.core import (
     blowup_laws,
     embed_reduced,
     gcd_reduce,
+    lattice_spacing,
     law_dimension,
     longtime_laws,
     longtime_laws_ambient,
@@ -283,11 +284,31 @@ def test_law_dimension_returns_an_int_inside_the_range():
     (6, 1, 0), (6, 2, -4), (6, 0, 6), (6, 4, 6), (6, 2, 5), (6, 1, 7), (6, 1.5, 6), (6, -2, -4),
 ])
 def test_longtime_laws_ambient_refuses_an_inconsistent_lattice(N, m, p):
-    """m a positive integer and p a multiple of m with m <= p <= N."""
+    """m a positive integer (lattice_spacing, in its message) and p a
+    multiple of m with m <= p <= N."""
     match = (f"inconsistent lattice: need p a multiple of the integer m with "
              f"1 <= m <= p <= N, got m={m}, p={p}, N={N}")
+    if not (m >= 1 and m == int(m)):
+        match = f"m must be a positive integer, got {m}"
     with pytest.raises(ValueError, match=re.escape(match)):
         longtime_laws_ambient(N, m, p)
+
+
+@pytest.mark.parametrize("m", [0, -2, 1.5, math.nan, math.inf, -math.inf])
+def test_every_lattice_rule_refuses_a_spacing_in_one_message(m):
+    """embed_reduced and both long-time tables refuse an m that is not a
+    positive integer through lattice_spacing, with the same text."""
+    match = re.escape(f"m must be a positive integer, got {m}")
+    for refuse in (lambda: lattice_spacing(m), lambda: embed_reduced([1.0], m, 3),
+                   lambda: longtime_laws(3, m), lambda: longtime_laws_ambient(6, m)):
+        with pytest.raises(ValueError, match=match):
+            refuse()
+
+
+def test_lattice_spacing_returns_an_int():
+    assert [lattice_spacing(m) for m in (1, 2.0, 3)] == [1, 2, 3]
+    assert type(lattice_spacing(2.0)) is int
+    assert np.all(embed_reduced([1.0, 2.0], 2.0, 4) == [0, 1, 0, 2])
 
 
 def test_longtime_laws_ambient_on_a_lattice_below_n():

@@ -3,6 +3,7 @@ runs with their omega error bars against the frozen oracle."""
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -627,6 +628,15 @@ def test_blowup_rejects_bad_initial_data():
             integrate_phi_to_blowup([1.0, 1.0, 1.0], cap=cap)
 
 
+def _spy_correlate(monkeypatch) -> list:
+    """Record each np.correlate call: every chart's rate forms its field
+    from one per call, so an empty record means no field was evaluated."""
+    calls = []
+    correlate = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *a, **k: calls.append(a) or correlate(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("c0", [
     [-1.0, 1.0],
     [1.0, -1e-3, 1.0],
@@ -640,8 +650,7 @@ def test_density_drivers_refuse_bad_c0_before_the_first_field_call(monkeypatch, 
     """Negative, non-finite or non-vector c0 raise ValueError naming c0 with
     no field call, instead of spending the step budget or failing as an
     IntegrationError."""
-    calls = []
-    monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
+    calls = _spy_correlate(monkeypatch)
     for driver in (integrate_rbk, integrate_logtime):
         with pytest.raises(ValueError, match="c0 must be a nonempty 1-D vector|c0 has non-finite "
                            "components|initial densities must be nonnegative"):
@@ -665,8 +674,7 @@ def test_density_drivers_refuse_bad_span_before_building_a_grid(
     """A t_end that is not finite and positive, or a points_per_decade that
     is not a nonnegative integer (a bool included), raises ValueError naming
     it before any grid array is built or the field called."""
-    calls = []
-    monkeypatch.setattr(integrate, "rbk_field", lambda c: calls.append(c) or rbk_field(c))
+    calls = _spy_correlate(monkeypatch)
     for name in ("geomspace", "concatenate"):  # the builders of every grid array
         monkeypatch.setattr(np, name, lambda *a, **k: calls.append(a))
     for driver in (integrate_rbk, integrate_logtime):
@@ -723,8 +731,7 @@ def test_sample_grid_too_large_to_allocate_names_t_end():
 def test_phi_start_refuses_before_the_first_field_call(monkeypatch, phi0, cap, match):
     """The phi chart's rule: N = len(c0) in 3..MAX_LAW_DIMENSION, here with
     c0 = (phi0, 1), and a finite cap above phi_1(0)."""
-    calls = []
-    monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
+    calls = _spy_correlate(monkeypatch)
     c0 = np.append(phi0, 1.0) if phi0.ndim == 1 else phi0
     with pytest.raises(ValueError, match=re.escape(match)):
         integrate_phi_to_blowup(c0, cap)
@@ -775,8 +782,7 @@ def test_phi_start_returns_the_ratio_bitwise():
 ])
 def test_blowup_refuses_bad_phi0_before_the_first_field_call(monkeypatch, phi0, match):
     """A NaN or inf phi0 is blamed on phi0, not on the cap or the tail."""
-    calls = []
-    monkeypatch.setattr(integrate.core, "phi_field", lambda p: calls.append(p) or phi_field(p))
+    calls = _spy_correlate(monkeypatch)
     with pytest.raises(ValueError, match=match):
         integrate_phi_to_blowup(np.append(phi0, 1.0))
     assert calls == []
@@ -946,6 +952,102 @@ def test_phi_driver_matches_generic_path_bitwise(c0):
     tail = tail_factor * float(tau[-1]) ** (2 - n)
     expected = float(y[-1]) + tail
     assert (omega, uncertainty) == (expected, RTOL * expected + tail)
+
+
+# ---------------------------------------------------------------------------
+# the chart kernels against core's validated fields, one call at a time
+# ---------------------------------------------------------------------------
+
+
+def _kernel_draws(rng, n):
+    """Seeded vectors of n positive entries: O(1), near 1e150, subnormal,
+    and O(1) with one subnormal entry."""
+    unit = rng.uniform(0.1, 1.0, n)
+    mixed = unit.copy()
+    mixed[rng.integers(n)] = 5e-324 * rng.integers(1, 2**40)
+    return (unit, unit * 1e150, rng.uniform(0.1, 1.0, n) * 1e-310, mixed)
+
+
+@pytest.mark.parametrize("dim", range(1, 41))
+def test_density_kernel_is_rbk_field_plus_u_bitwise(dim):
+    """The density run's rate is concatenate([rbk_field(u) + u, [u_N, u_1,
+    sum u]]) bitwise, lattice zeros included: the last component is +0.0
+    when u_N = 0."""
+    rng = np.random.default_rng(dim)
+    rate = integrate._density_rate(dim)
+    lattice = rng.uniform(0.1, 1.0, dim)
+    lattice[1::2] = 0.0  # u_N = 0 when dim is even
+    for u in (*_kernel_draws(rng, dim), lattice, np.zeros(dim)):
+        z = np.concatenate([u, rng.uniform(0.0, 1.0, 3)])
+        expected = np.concatenate([rbk_field(u) + u, [u[-1], u[0], u.sum()]])
+        out = rate(rng.uniform(0.0, 20.0), z)
+        assert out.tobytes() == expected.tobytes()
+        if u[-1] == 0.0:
+            assert out[dim - 1] == 0.0 and not np.signbit(out[dim - 1])
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_log_psi_kernel_is_g_phi_field_over_psi_bitwise(n):
+    """The blowup run's rate is g phi_field(psi) / psi bitwise, for
+    g = (1 + tau)/psi_1 and psi = (exp(w), tau + phi_{N-1}(0)), with slot
+    N - 2 holding g, the rate of y.  A subnormal psi_j overflows some rates
+    to inf, in both."""
+    rng = np.random.default_rng(n)
+    dim = n - 2
+    for psi0 in _kernel_draws(rng, dim + 1):
+        last0 = float(psi0[-1])
+        rate = integrate._log_psi_rate(dim, last0)
+        s = rng.uniform(0.0, 5.0)
+        z = np.append(np.log(psi0[:dim]), rng.uniform(0.0, 2.0))
+        tau = math.expm1(s)
+        psi = np.append(np.exp(z[:dim]), tau + last0)
+        with np.errstate(over="ignore"):
+            g = (1.0 + tau) / psi[0]
+            expected = g * phi_field(psi) / psi
+            expected[dim] = g
+            out = rate(s, z)
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_log_psi_kernel_gives_inf_when_psi_1_underflows():
+    """No check and no exception: psi_1 = exp(-1000) = 0 makes g, and so the
+    rate, infinite, which the stepper rejects under its np.errstate."""
+    rate = integrate._log_psi_rate(2, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = rate(0.0, np.array([-1000.0, 0.0, 0.0]))
+    assert not np.isfinite(out).all()
+    assert out[2] == math.inf
+
+
+def test_one_component_run_meets_its_closed_form():
+    """N = 1: dc/dt = -c^2, so c = 1/(1/c0 + t); the kernel forms no
+    production sum at all."""
+    traj = integrate_rbk([2.0], 1.0)
+    assert traj.dim == 1
+    assert_allclose(traj.states[:, 0], 1.0 / (0.5 + traj.abscissae), rtol=100 * RTOL, atol=0.0)
+
+
+def test_blowup_stage_that_underflows_psi_is_rejected_without_a_raise(monkeypatch):
+    """On c0 = (1, 1e-12, 1e-12, 1) some trial stages drive a psi_j to 0:
+    their rates are inf or NaN, the stepper rejects them, and the run ends
+    normally with no warning and no ZeroDivisionError."""
+    underflowed = []
+    real = integrate.integrate_adaptive
+
+    def spy(rate, z0, span, *args, **kwargs):
+        def watched(s, z):
+            with np.errstate(under="ignore"):
+                underflowed.append(bool((np.exp(z[:-1]) == 0.0).any()))
+            return rate(s, z)
+        return real(watched, z0, span, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate_adaptive", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, omega, _ = integrate_phi_to_blowup(np.array([1.0, 1e-12, 1e-12, 1.0]), 1e10)
+    assert any(underflowed)
+    assert traj.stats.rejected_nonfinite >= 1
+    assert traj.states[-1, 0] >= 1e10 and omega > traj.final_abscissa
 
 
 # ---------------------------------------------------------------------------
