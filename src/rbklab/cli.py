@@ -92,7 +92,7 @@ def _build_c0(entry, N: int, seed) -> np.ndarray:
         value = _finite("c0.monodisperse.value", params.get("value", 1.0))
         index = _integer("monodisperse index", params.get("index", N))
         if not 1 <= index <= N:
-            raise ConfigError(f"monodisperse index {index} outside 1..{N}")
+            raise ConfigError(f"monodisperse index {reprlib.repr(index)} outside 1..{N}")
         c0 = np.zeros(N)
         c0[index - 1] = value
         return c0
@@ -232,7 +232,7 @@ def resolve_run(raw: dict) -> dict:
                 raise ConfigError(
                     f"verify_theorem: need samples beyond t = 1 (at least 2, the grid has {beyond})"
                 )
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: an N too large to allocate
         raise ConfigError(str(exc)) from exc
     return {
         "c0": c0,
@@ -260,8 +260,10 @@ def _write_atomic(path, write) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name path, not the temporary beside it
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -714,6 +716,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (IntegrationError, ValueError) as exc:  # anything that fails once the inputs passed
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:  # an output that cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -110,14 +110,41 @@ def test_initial_data_rules_exit_3_before_writing(tmp_path, capsys, doc, message
         ({"N": 2, "c0": [1, 10**400]}, "c0[1] must be finite, got 1000"),
         ({"N": "3" * 400}, "N must be an integer, got '333"),
         ({"N": 3, "sampling": [0] * 400}, "sampling must be a JSON object, got [0, 0"),
+        ({"N": 3, "c0": {"monodisperse": {"index": 1e300}}}, "monodisperse index 1000"),
     ],
-    ids=["finite", "integer", "object"],
+    ids=["finite", "integer", "object", "monodisperse-index"],
 )
 def test_rejected_value_is_echoed_abbreviated(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, **doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert message in err and len(err) < 100
+
+
+@pytest.mark.parametrize("command", ["simulate", "blowup"])
+def test_out_naming_a_directory_exits_2_with_one_line(tmp_path, capsys, command):
+    """The message names --out, not the temporary written beside it, and
+    the temporary is removed."""
+    cfg = write_config(tmp_path, N=3, t_end=2.0)
+    out = tmp_path / "taken.csv"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.endswith(f": {str(out)!r}\n")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out]
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, base={"N": 3, "t_end": 2.0}, grid={"rtol": [1e-8]})
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.endswith(f": {str(out)!r}\n")
+    assert err.count("\n") == 1
+    assert out.read_text() == "kept"
 
 
 def test_simulate_single_component_theorem_request_exits_3(tmp_path, capsys):
@@ -756,6 +783,11 @@ def test_blowup_value_error_after_the_inputs_passed_exits_2(tmp_path, capsys, mo
          "need samples beyond t = 1"),
         # a grid larger than the address space fails to allocate at once
         (["simulate"], {"N": 3, "sampling": {"points_per_decade": 10**13}}, "no sample grid"),
+        # so do the densities of N = 10**15 (7.11 PiB), in each c0 family
+        (["simulate"], {"N": 10**15}, "Unable to allocate 7.11 PiB"),
+        (["simulate"], {"N": 10**15, "c0": {"monodisperse": {}}}, "Unable to allocate 7.11 PiB"),
+        (["blowup"], {"N": 10**15, "c0": {"self_similar": {}}}, "Unable to allocate 7.11 PiB"),
+        (["blowup"], {"N": 10**15, "c0": {"random": {}}, "seed": 1}, "Unable to allocate 7.11 PiB"),
     ],
 )
 def test_unusable_input_exits_3_before_writing(tmp_path, capsys, command, doc, message):
@@ -1185,8 +1217,9 @@ def test_sweep_nested_unknown_key_exits_3_before_running(tmp_path, capsys):
         ({"chart": "t", "N": 3}, {"t_end": [2.0, -1]},
          "cell001: t_end must be finite and positive"),
         ({"chart": "log-t", "N": 3}, {"t_end": [0]}, "cell000: t_end must be finite and positive"),
+        ({"t_end": 2.0}, {"N": [3, 10**15]}, "cell001: Unable to allocate 7.11 PiB"),
     ],
-    ids=["c0-length", "phi-N", "phi-cap", "t-t_end", "log-t-t_end"],
+    ids=["c0-length", "phi-N", "phi-cap", "t-t_end", "log-t-t_end", "N-too-large"],
 )
 def test_sweep_bad_value_in_any_cell_exits_3_before_running(tmp_path, capsys, base, grid,
                                                             message):

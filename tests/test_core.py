@@ -4,6 +4,7 @@ constants tables, closed forms, and the algebraic invariants of the fields."""
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,71 +75,63 @@ def test_phi_field_rejects_nonpositive():
         phi_field([-1.0, 1.0])
 
 
-# the fields' full input checks and formulas, written out: the fields may
-# skip a check only where it cannot fail
-def _checked(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite components")
-    return arr
+def _with_value(value, pos):
+    """Two ones with value inserted at pos."""
+    x = [1.0, 1.0]
+    x.insert(pos, value)
+    return x
 
 
-def _reference_rbk_field(c):
-    c = _checked(c, "c")
-    n = c.size
-    prod = np.zeros(n)
-    prod[: n - 1] = np.correlate(c, c, mode="full")[n:]
-    return prod - c * c.sum()
+_NON_FINITE = [_with_value(v, pos) for v in (math.nan, math.inf, -math.inf) for pos in (0, 1, 2)]
+_NON_POSITIVE = [_with_value(v, pos) for v in (0.0, -0.0, -1.0) for pos in (0, 1, 2)]
 
 
-def _reference_phi_field(phi):
-    phi = _checked(phi, "phi")
-    if (phi <= 0).any():
-        raise ValueError("phi chart requires strictly positive components")
-    full = np.append(phi, 1.0)
-    return np.correlate(full, full, mode="full")[full.size :]
+def _vector_refusals(name):
+    """(input, exact message) of each _as_vector refusal of an argument called name."""
+    shapes = [(1.0, "()"), ([], "(0,)"), (np.ones((2, 2)), "(2, 2)")]
+    return [(x, f"{name} must be a nonempty 1-D vector, got shape {shape}")
+            for x, shape in shapes] + [(x, f"{name} has non-finite components")
+                                       for x in _NON_FINITE]
 
 
-_FIELDS = ((rbk_field, _reference_rbk_field), (phi_field, _reference_phi_field))
+_PHI_REFUSALS = _vector_refusals("phi") + [
+    (x, "phi chart requires strictly positive components") for x in _NON_POSITIVE] + [
+    # finiteness is reported before positivity, wherever the NaN is
+    ([math.nan, 0.0, 1.0], "phi has non-finite components"),
+    ([0.0, -1.0, math.nan], "phi has non-finite components"),
+]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=12),
-    inserts=st.lists(
-        st.tuples(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]),
-                  st.integers(0, 12)),
-        max_size=2,
-    ),
-)
-def test_field_checks_match_the_full_checks(values, inserts):
-    """Where the full checks raise, the field raises the same ValueError, and
-    warns of nothing first; elsewhere it returns the formula's bits."""
-    x = list(values)
-    for value, pos in inserts:
-        x.insert(pos % (len(x) + 1), value)
-    for field, reference in _FIELDS:
-        try:
-            with np.errstate(all="ignore"):  # finite data may overflow
-                expected = reference(x)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                field(x)
-            assert str(raised.value) == str(exc)
-        else:
-            with np.errstate(all="ignore"):
-                assert field(x).tobytes() == expected.tobytes()
+@pytest.mark.parametrize("field, x, message", [
+    pytest.param(field, x, message, id=f"{field.__name__}-{np.asarray(x).tolist()}")
+    for field, cases in ((rbk_field, _vector_refusals("c")), (phi_field, _PHI_REFUSALS))
+    for x, message in cases
+])
+def test_field_refuses_with_its_exact_message_and_no_warning(field, x, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            field(x)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("x", _NON_POSITIVE)
+def test_rbk_field_takes_non_positive_entries(x):
+    """Only the phi chart needs positive data: rbk_field computes on zeros
+    and negative entries."""
+    assert np.isfinite(rbk_field(x)).all()
 
 
 @pytest.mark.parametrize("x", [[1e200, 1e200], [1e308, 1e308, 1e308], [1e154, 1e155]])
 def test_fields_of_finite_data_that_overflows_return(x):
-    for field, reference in _FIELDS:
+    """Finite data passes the checks even when its products overflow: each
+    field returns a vector of len(x) with a non-finite entry, and raises
+    nothing."""
+    for field in (rbk_field, phi_field):
         with np.errstate(all="ignore"):
-            got, expected = field(x), reference(x)
+            got = field(x)
+        assert got.shape == (len(x),)
         assert not np.isfinite(got).all()
-        assert got.tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=10))
